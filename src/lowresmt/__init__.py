@@ -24,7 +24,6 @@ from .datagen import (
     emit_complete,
     emit_star,
     emit_stage,
-    replicate_asymmetric,
     symmetrize,
 )
 from .lexicon import (

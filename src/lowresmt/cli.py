@@ -19,16 +19,19 @@ from . import align as align_mod
 from . import combine as combine_mod
 from .bleu import corpus_bleu
 from .corpus import load_text, save_text
-from .lexicon import TaggedSentence, build_target_dictionary, detag, load_lexicon, tag_sentence
+from .lexicon import build_target_dictionary, detag, load_lexicon, tag_sentence
 from .pipeline import PipelineConfig, run_pipeline
 from .rank import rank_languages, write_ranking, write_skips
 
 log = logging.getLogger("lowresmt")
 
 
-def _env_workers(default: int = 1) -> int:
+def _env_workers() -> int | None:
     value = os.environ.get("LOWRESMT_WORKERS")
-    return int(value) if value else default
+    try:
+        return int(value) if value else None
+    except ValueError:
+        raise ValueError(f"LOWRESMT_WORKERS must be an integer, got {value!r}") from None
 
 
 def _cmd_align(args) -> int:
@@ -66,7 +69,7 @@ def _cmd_rank(args) -> int:
         args.metric,
         min_shared_lines=args.min_lines,
         iterations=args.iterations,
-        workers=args.workers,
+        workers=args.workers if args.workers is not None else 1,
     )
     write_ranking(ranking, args.output)
     if args.skip_report:
@@ -114,8 +117,7 @@ def _cmd_detag(args) -> int:
     dropped: Counter = Counter()
     rows = []
     for lid, tokens in text.lines.items():
-        tagged = TaggedSentence(template=(), source_dict=dicts.get(lid, {}))
-        target_dict = build_target_dictionary(tagged, args.language, table)
+        target_dict = build_target_dictionary(dicts.get(lid, {}), args.language, table)
         decoded, missing = detag(tokens, target_dict)
         dropped.update(missing)
         rows.append(f"{lid}\t{' '.join(decoded)}\n")
@@ -180,8 +182,6 @@ def _cmd_pipeline(args) -> int:
     config = PipelineConfig.from_file(args.config, out_dir=args.out_dir)
     if args.workers is not None:
         config.workers = args.workers
-    else:
-        config.workers = _env_workers(config.workers)
     run_pipeline(config)
     return 0
 
@@ -197,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("LOWRESMT_LOG_LEVEL", "INFO"),
         help="logging level for stderr (default INFO)",
     )
+    parser.set_defaults(workers=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("align", help="train an alignment model on two corpora")
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-report", help="TSV for excluded candidates")
     p.add_argument("--min-lines", type=int, default=50)
     p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--workers", type=int, default=_env_workers())
+    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(handler=_cmd_rank)
 
     p = sub.add_parser("tag", help="replace entity mentions with placeholders")
@@ -272,6 +273,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if args.workers is None:
+            args.workers = _env_workers()
         return args.handler(args)
     except (ValueError, OSError) as error:
         log.error("%s", error)

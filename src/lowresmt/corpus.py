@@ -62,11 +62,12 @@ class SplitSpec:
 def load_text(path: str | Path, language: str) -> ParallelText:
     """Read one corpus file, either ``ID<TAB>text`` rows or bare text.
 
-    Bare files get zero-based line indexes as ids.  Tokenization is a
-    plain split on Unicode whitespace.
+    Bare files get zero-based line indexes as ids.  A leading UTF-8 byte
+    order mark is skipped, so it never becomes part of the first id.
+    Tokenization is a plain split on Unicode whitespace.
     """
     path = Path(path)
-    raw = path.read_text(encoding="utf-8").splitlines()
+    raw = path.read_text(encoding="utf-8-sig").splitlines()
     if not raw:
         raise ValueError(f"empty corpus file: {path}")
     id_format = "\t" in raw[0]

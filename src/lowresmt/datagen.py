@@ -9,7 +9,8 @@ member into the low-resource language only.
 
 Every emitted source line starts with a direction tag pair
 ``__opt_src_<src> __opt_tgt_<tgt>`` and is entity-tagged first, so
-placeholders and tags are first-class vocabulary items.  Output order is
+placeholders and tags are first-class vocabulary items; the shared
+vocabulary covers every token any stage writes.  Output order is
 pair-major then line-minor and writes are byte-deterministic: two runs
 over the same inputs produce identical files, which the manifest
 checksums pin down.
@@ -30,6 +31,7 @@ SRC_TAG_PREFIX = "__opt_src_"
 TGT_TAG_PREFIX = "__opt_tgt_"
 
 View = Mapping[str, ParallelText]
+# language -> line id -> mentions; covers every language and line emitted
 Mentions = Mapping[str, Mapping[str, Sequence[Mention]]]
 
 
@@ -112,20 +114,15 @@ def _check_view(languages: Sequence[str], view: View) -> list[str]:
     return ids
 
 
-def _pair_lines(src_text, tgt_text, tag, line_ids, src_mentions, tgt_mentions):
+def _pair_lines(view, src, tgt, line_ids, mentions):
+    tag = DirectionTag(src, tgt).render()
     for lid in line_ids:
-        src_tokens = src_text.lines[lid]
-        tgt_tokens = tgt_text.lines[lid]
-        if src_mentions is not None:
-            src_template, tgt_template = pair_templates(
-                src_tokens,
-                src_mentions.get(lid, ()),
-                tgt_tokens,
-                tgt_mentions.get(lid, ()) if tgt_mentions is not None else (),
+        src_tokens, tgt_tokens = view[src].lines[lid], view[tgt].lines[lid]
+        if mentions is not None:
+            src_tokens, tgt_tokens = pair_templates(
+                src_tokens, mentions[src][lid], tgt_tokens, mentions[tgt][lid]
             )
-        else:
-            src_template, tgt_template = src_tokens, tgt_tokens
-        yield f"{tag.render()} {' '.join(src_template)}", " ".join(tgt_template)
+        yield f"{tag} {' '.join(src_tokens)}", " ".join(tgt_tokens)
 
 
 def _write_split(
@@ -146,12 +143,7 @@ def _write_split(
         tgt_path.open("w", encoding="utf-8", newline="\n") as tgt_file,
     ):
         for a, b in pairs:
-            tag = DirectionTag(a, b)
-            src_mentions = mentions.get(a) if mentions is not None else None
-            tgt_mentions = mentions.get(b) if mentions is not None else None
-            for src_line, tgt_line in _pair_lines(
-                view[a], view[b], tag, ids, src_mentions, tgt_mentions
-            ):
+            for src_line, tgt_line in _pair_lines(view, a, b, ids, mentions):
                 src_file.write(src_line + "\n")
                 tgt_file.write(tgt_line + "\n")
                 count += 1
@@ -214,43 +206,28 @@ def symmetrize(low: ParallelText, sources: Sequence[ParallelText]) -> dict[str, 
     return view
 
 
-def replicate_asymmetric(low: ParallelText, target_size: int) -> ParallelText:
-    """Repeat lines cyclically up to target_size, suffixing ids per replica."""
-    if target_size < len(low.lines):
-        raise ValueError(
-            f"target size {target_size} below corpus size {len(low.lines)}"
-        )
-    ids = list(low.lines)
-    lines: dict[str, tuple[str, ...]] = {}
-    for k in range(target_size):
-        lid = ids[k % len(ids)]
-        lines[f"{lid}#{k // len(ids)}"] = low.lines[lid]
-    return ParallelText(language=low.language, lines=lines)
-
-
 def build_vocab(
     texts: Iterable[ParallelText],
-    low: ParallelText | None = None,
     tags: Iterable[DirectionTag] = (),
     max_ne: int = 0,
+    extra: Iterable[str] = (),
 ) -> Vocabulary:
-    """Union of token types over all inputs plus tag and placeholder tokens.
+    """Union of token types over all inputs plus tag, placeholder and extra tokens.
 
-    Order is frequency-descending, ties lexicographic; specials absent
-    from the corpora sort at the tail with count zero.
+    Order is frequency-descending, ties lexicographic; tokens absent
+    from the texts sort at the tail with count zero.
     """
     counts: Counter = Counter()
     for text in texts:
         for tokens in text.lines.values():
-            counts.update(tokens)
-    if low is not None:
-        for tokens in low.lines.values():
             counts.update(tokens)
     for tag in tags:
         for token in tag.tokens():
             counts[token] += 0
     for index in range(max_ne):
         counts[placeholder(index)] += 0
+    for token in extra:
+        counts[token] += 0
     ordered = sorted(counts, key=lambda token: (-counts[token], token))
     return Vocabulary(tokens=tuple(ordered))
 
@@ -276,49 +253,60 @@ def find_view_mentions(
     }
 
 
+def unbound_surfaces(languages: Sequence[str], mentions: Mentions) -> set[str]:
+    """Entity surface tokens that a complete graph over ``languages`` writes as is.
+
+    A target side reuses its source side's placeholder binding, so on a
+    line every language shares, a mention whose entity some other
+    language's line lacks stays a surface in that pair's target.
+    """
+    first, *rest = (mentions[lang] for lang in languages)
+    surfaces: set[str] = set()
+    for lid in first:
+        if not all(lid in other for other in rest):
+            continue
+        entities = {lang: {m.entity_id for m in mentions[lang][lid]} for lang in languages}
+        for tgt in languages:
+            for mention in mentions[tgt][lid]:
+                if any(mention.entity_id not in entities[src] for src in languages if src != tgt):
+                    surfaces.update(mention.surface.split())
+    return surfaces
+
+
 def emit_stage(
     spec: StageSpec,
     corpora: Mapping[str, ParallelText],
-    table: LexiconTable | None = None,
-    *,
-    edit_threshold: int = 2,
+    mentions: Mentions | None = None,
 ) -> dict:
     """Emit one stage's datasets and return its manifest fragment.
 
-    The fragment records the configuration, languages, per-split example
-    counts and file checksums; it contains nothing volatile, so repeated
-    runs produce identical manifests.
+    Stage views only select line ids, so one ``mentions`` map over the
+    full texts serves every stage.  The fragment records the
+    configuration, languages, per-split example counts and file
+    checksums; it contains nothing volatile, so repeated runs produce
+    identical manifests.
     """
     for lang in (*spec.languages, spec.low_resource):
         if lang not in corpora:
             raise ValueError(f"no corpus for language {lang!r}")
     family = [corpora[lang] for lang in spec.languages]
-    low = corpora[spec.low_resource]
 
     if spec.stage == 1:
         view = {text.language: text for text in intersect(family)} if len(family) > 1 else {
             family[0].language: family[0]
         }
         emit_languages = list(spec.languages)
-        configuration = "complete"
-    elif spec.stage == 2:
-        view = symmetrize(low, family)
-        emit_languages = [*spec.languages, spec.low_resource]
-        configuration = "complete"
     else:
-        view = symmetrize(low, family)
+        view = symmetrize(corpora[spec.low_resource], family)
         emit_languages = [*spec.languages, spec.low_resource]
-        configuration = "star"
-
-    mentions = find_view_mentions(view, table, edit_threshold)
-    reference = view[spec.languages[0]]
-    parts = split_corpus(reference, spec.split)
+    configuration = "star" if spec.stage == 3 else "complete"
+    parts = split_corpus(view[spec.languages[0]], spec.split)
 
     splits: dict[str, dict] = {}
     for name, part in parts.items():
         ids = list(part.lines)
         sub_view = {lang: restrict(text, ids) for lang, text in view.items()}
-        if spec.stage == 3:
+        if configuration == "star":
             count = emit_star(
                 list(spec.languages),
                 spec.low_resource,
@@ -328,9 +316,8 @@ def emit_stage(
                 mentions=mentions,
             )
         else:
-            languages = emit_languages
             count = emit_complete(
-                languages, sub_view, spec.out_dir, name, mentions=mentions
+                emit_languages, sub_view, spec.out_dir, name, mentions=mentions
             )
         splits[name] = {
             "examples": count,

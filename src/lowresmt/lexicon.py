@@ -269,15 +269,18 @@ def pair_templates(
 
 
 def build_target_dictionary(
-    tagged: TaggedSentence, target_language: str, table: LexiconTable
+    source_dict: Mapping[str, tuple[str, str]], target_language: str, table: LexiconTable
 ) -> TargetDictionary:
     """Map each placeholder to its first listed target surface.
+
+    ``source_dict`` maps placeholder -> (entity id, matched source
+    surface), as ``TaggedSentence.source_dict`` holds it.
 
     Entities missing in the target language fall back to the matched
     source surface, which at least carries the name across.
     """
     out: TargetDictionary = {}
-    for name, (entity_id, surface) in tagged.source_dict.items():
+    for name, (entity_id, surface) in source_dict.items():
         forms = table.forms(entity_id, target_language)
         out[name] = forms[0] if forms else surface
     return out

@@ -15,14 +15,17 @@ from pathlib import Path
 from .corpus import ParallelText, SplitSpec, load_text
 from .datagen import (
     DirectionTag,
+    Mentions,
     StageSpec,
     Vocabulary,
     build_vocab,
     emit_stage,
     file_sha256,
+    find_view_mentions,
+    unbound_surfaces,
     write_vocab,
 )
-from .lexicon import LexiconTable, is_placeholder, load_lexicon, tag_sentence
+from .lexicon import load_lexicon, pair_templates
 from .rank import (
     FAMO_PLUS,
     METRICS,
@@ -165,21 +168,6 @@ def load_corpora(corpus_dir: str | Path) -> dict[str, ParallelText]:
     return corpora
 
 
-def _self_tagged(
-    text: ParallelText, table: LexiconTable | None, edit_threshold: int
-) -> tuple[ParallelText, int]:
-    """Tag each line standalone; returns the tagged text and max placeholder count."""
-    if table is None or len(table) == 0:
-        return text, 0
-    max_ne = 0
-    lines: dict[str, tuple[str, ...]] = {}
-    for lid, tokens in text.lines.items():
-        tagged = tag_sentence(tokens, text.language, table, edit_threshold)
-        max_ne = max(max_ne, len(tagged.source_dict))
-        lines[lid] = tagged.template
-    return ParallelText(language=text.language, lines=lines), max_ne
-
-
 def resolve_family(
     config: PipelineConfig, corpora: dict[str, ParallelText]
 ) -> FamilyOfChoice:
@@ -212,20 +200,29 @@ def build_shared_vocab(
     config: PipelineConfig,
     corpora: dict[str, ParallelText],
     family: FamilyOfChoice,
-    table: LexiconTable | None,
+    mentions: Mentions | None,
 ) -> Vocabulary:
-    """One vocabulary for all stages: family full text plus low-resource lines."""
+    """One vocabulary for all stages, holding every token any stage writes.
+
+    Counts come from each line rendered as a source side.  Surfaces left
+    on target sides join at count zero, over stage 1 (the family) and
+    stage 2 (family plus target, whose pairs include stage 3's).
+    """
     languages = [*family.members, config.target]
-    tagged = []
-    max_seen = 0
-    for lang in family.members:
-        text, seen = _self_tagged(corpora[lang], table, config.edit_threshold)
-        tagged.append(text)
-        max_seen = max(max_seen, seen)
-    low_tagged, seen = _self_tagged(corpora[config.target], table, config.edit_threshold)
-    max_seen = max(max_seen, seen)
     tags = [DirectionTag(a, b) for a in languages for b in languages if a != b]
-    return build_vocab(tagged, low_tagged, tags, max_ne=max(config.max_ne, max_seen))
+    if mentions is None:
+        return build_vocab([corpora[lang] for lang in languages], tags, config.max_ne)
+    templates = []
+    max_seen = 0
+    for lang in languages:
+        lines: dict[str, tuple[str, ...]] = {}
+        for lid, tokens in corpora[lang].lines.items():
+            found = mentions[lang][lid]
+            lines[lid], _ = pair_templates(tokens, found, (), ())
+            max_seen = max(max_seen, len({mention.entity_id for mention in found}))
+        templates.append(ParallelText(lang, lines))
+    unbound = unbound_surfaces(family.members, mentions) | unbound_surfaces(languages, mentions)
+    return build_vocab(templates, tags, max(config.max_ne, max_seen), unbound)
 
 
 def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) -> dict:
@@ -247,7 +244,10 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     )
 
     table = load_lexicon(config.lexicon) if config.lexicon is not None else None
-    vocab = build_shared_vocab(config, corpora, family, table)
+    languages = (*family.members, config.target)
+    view = {lang: corpora[lang] for lang in languages}
+    mentions = find_view_mentions(view, table, config.edit_threshold)
+    vocab = build_shared_vocab(config, corpora, family, mentions)
     vocab_path = config.out_dir / "vocab.txt"
     write_vocab(vocab, vocab_path)
 
@@ -276,9 +276,7 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
             out_dir=config.out_dir / f"stage{stage}",
         )
         log.info("emitting stage %d", stage)
-        manifest["stages"][f"stage{stage}"] = emit_stage(
-            spec, corpora, table, edit_threshold=config.edit_threshold
-        )
+        manifest["stages"][f"stage{stage}"] = emit_stage(spec, corpora, mentions)
     (config.out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -114,7 +114,7 @@ def test_lexicon_round_trip():
         for entity_id in rng.sample(sorted(table.entities), rng.randint(0, 4)):
             tokens.insert(rng.randint(0, len(tokens)), table.forms(entity_id, "src")[0])
         tagged = tag_sentence(tokens, "src", table)
-        target_dict = build_target_dictionary(tagged, "tgt", table)
+        target_dict = build_target_dictionary(tagged.source_dict, "tgt", table)
         restored, dropped = detag(tagged.template, target_dict)
         expected = [surface_to_target.get(token, token) for token in tokens]
         if restored != expected or dropped:

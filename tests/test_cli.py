@@ -211,6 +211,24 @@ class TestPipelineAndGen:
         assert (out_dir / "stage3" / "train.src").exists()
         assert not (out_dir / "stage1").exists()
 
+    @pytest.mark.parametrize("stage", ["1", "2", "3"])
+    def test_gen_single_stage_writes_the_full_vocab(self, tmp_path, small_corpus_dir, stage):
+        # e2 has a target form only, so stages 2 and 3 write its surface
+        lexicon = write(
+            tmp_path / "lex.tsv", "e1\taa\taa5\ne1\tbb\tbb5\ne1\ttt\ttt5\ne2\ttt\ttt7\n"
+        )
+        config = pipeline_config(small_corpus_dir, tmp_path / "unused", ["aa", "bb"])
+        config.update(lexicon=str(lexicon), edit_threshold=0)
+        config_path = write(tmp_path / "config.json", json.dumps(config))
+        for run, flag in (("full", "all"), ("one", stage)):
+            assert main(
+                ["gen", "--config", str(config_path), "--stage", flag,
+                 "--out-dir", str(tmp_path / run)]
+            ) == 0
+        vocab = (tmp_path / "full" / "vocab.txt").read_text()
+        assert (tmp_path / "one" / "vocab.txt").read_text() == vocab
+        assert "tt7" in vocab.splitlines()
+
     def test_unknown_config_key_fails_fast(self, tmp_path, small_corpus_dir):
         config = pipeline_config(small_corpus_dir, tmp_path / "out", "famd")
         config["typo_key"] = True
@@ -228,6 +246,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["score", "--nope"])
         assert excinfo.value.code == 2
+
+    def test_malformed_workers_variable_exits_one(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setenv("LOWRESMT_WORKERS", "abc")
+        hyp = write(tmp_path / "hyp.txt", "a b\n")
+        assert main(["score", "--hypotheses", str(hyp), "--references", str(hyp)]) == 1
+        assert "LOWRESMT_WORKERS" in caplog.text
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(

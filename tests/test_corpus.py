@@ -58,6 +58,16 @@ class TestLoadText:
         with pytest.raises(ValueError, match="ID<TAB>text"):
             load_text(path, "en")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes("\ufeffV0\ta b\nV1\tc\n".encode("utf-8"))
+        text = load_text(path, "x")
+        assert text.line_ids == ["V0", "V1"]
+        save_text(text, tmp_path / "copy.txt")
+        assert load_text(tmp_path / "copy.txt", "x").lines == text.lines
+        other = text_of("y", [("V0", "p"), ("V1", "q")])
+        assert intersect([text, other])[0].line_ids == ["V0", "V1"]
+
     def test_round_trip_is_byte_identical(self, tmp_path):
         original = write(tmp_path, "a.txt", "ID_1\ta b c\nID_2\td e\n")
         text = load_text(original, "en")

@@ -9,7 +9,7 @@ from lowresmt.datagen import (
     emit_star,
     emit_stage,
     file_sha256,
-    replicate_asymmetric,
+    find_view_mentions,
     symmetrize,
 )
 from lowresmt.lexicon import LexiconTable
@@ -128,34 +128,6 @@ class TestSymmetrize:
         assert out["l1"].lines == view["l1"].lines
 
 
-class TestReplicateAsymmetric:
-    def test_cyclic_counts(self):
-        low = ParallelText("x", {f"L{i}": (f"t{i}",) for i in range(3)})
-        replicated = replicate_asymmetric(low, 7)
-        assert len(replicated) == 7
-        assert list(replicated.lines) == [
-            "L0#0", "L1#0", "L2#0", "L0#1", "L1#1", "L2#1", "L0#2",
-        ]
-
-    def test_thousand_to_thirty_one_thousand(self):
-        low = ParallelText("x", {f"L{i}": ("t",) for i in range(1000)})
-        replicated = replicate_asymmetric(low, 31000)
-        assert len(replicated) == 31000
-        copies = sum(1 for lid in replicated.lines if lid.startswith("L0#"))
-        assert copies == 31
-
-    def test_same_size_is_identity_modulo_suffix(self):
-        low = ParallelText("x", {"a": ("p",), "b": ("q",)})
-        replicated = replicate_asymmetric(low, 2)
-        assert list(replicated.lines) == ["a#0", "b#0"]
-        assert list(replicated.lines.values()) == [("p",), ("q",)]
-
-    def test_shrinking_is_an_error(self):
-        low = ParallelText("x", {"a": ("p",), "b": ("q",)})
-        with pytest.raises(ValueError):
-            replicate_asymmetric(low, 1)
-
-
 class TestBuildVocab:
     def test_union_of_disjoint_texts(self):
         a = ParallelText("a", {str(i): (f"a{i}",) for i in range(100)})
@@ -264,7 +236,7 @@ class TestEmitStage:
             split=SplitSpec((("train", 1.0),)),
             out_dir=tmp_path,
         )
-        emit_stage(spec, corpora, table)
+        emit_stage(spec, corpora, find_view_mentions(corpora, table))
         src = (tmp_path / "train.src").read_text().splitlines()
         tgt = (tmp_path / "train.tgt").read_text().splitlines()
         assert src[0] == "__opt_src_f0 __opt_tgt_f1 __NE0 speaks"

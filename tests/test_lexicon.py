@@ -166,7 +166,7 @@ class TestTargetDictionaryAndDetag:
     def test_german_decode_restores_all_names(self):
         tokens = "Fatma asks her sister Wati to call Yi , the brother of Andika".split()
         tagged = tag_sentence(tokens, "en", FOUR_NAMES)
-        target_dict = build_target_dictionary(tagged, "de", FOUR_NAMES)
+        target_dict = build_target_dictionary(tagged.source_dict, "de", FOUR_NAMES)
         german = "__NE0 bittet ihre Schwester __NE1 darum , __NE2 , den Bruder __NE3 , anzurufen".split()
         restored, dropped = detag(german, target_dict)
         assert " ".join(restored) == (
@@ -176,12 +176,12 @@ class TestTargetDictionaryAndDetag:
 
     def test_missing_target_language_copies_source_surface(self):
         tagged = tag_sentence(["Fatma"], "en", FOUR_NAMES)
-        target_dict = build_target_dictionary(tagged, "xx", FOUR_NAMES)
+        target_dict = build_target_dictionary(tagged.source_dict, "xx", FOUR_NAMES)
         assert target_dict == {"__NE0": "Fatma"}
 
     def test_same_entity_twice_gets_identical_surface(self):
         tagged = tag_sentence("Yi calls Yi".split(), "en", FOUR_NAMES)
-        target_dict = build_target_dictionary(tagged, "de", FOUR_NAMES)
+        target_dict = build_target_dictionary(tagged.source_dict, "de", FOUR_NAMES)
         restored, _ = detag(("__NE0", "ruft", "__NE0"), target_dict)
         assert restored == ["Yi", "ruft", "Yi"]
 
@@ -198,7 +198,7 @@ class TestTargetDictionaryAndDetag:
     def test_multi_token_target_surface_is_spliced(self):
         table = LexiconTable({"e": {"en": ["Simon"], "fr": ["Simon Pierre"]}})
         tagged = tag_sentence(["Simon"], "en", table)
-        target_dict = build_target_dictionary(tagged, "fr", table)
+        target_dict = build_target_dictionary(tagged.source_dict, "fr", table)
         restored, _ = detag(("voici", "__NE0"), target_dict)
         assert restored == ["voici", "Simon", "Pierre"]
 
@@ -248,7 +248,7 @@ class TestProperties:
                 rng.randint(0, len(tokens)), table.forms(entity_id, "src")[0]
             )
         tagged = tag_sentence(tokens, "src", table)
-        target_dict = build_target_dictionary(tagged, "tgt", table)
+        target_dict = build_target_dictionary(tagged.source_dict, "tgt", table)
         restored, dropped = detag(tagged.template, target_dict)
         entity_by_surface = {
             table.forms(eid, "src")[0]: eid for eid in entity_ids

@@ -1,0 +1,109 @@
+import random
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lowresmt.datagen
+import lowresmt.lexicon
+from helpers import make_entity_table, make_filler_words
+from lowresmt.corpus import ParallelText, save_text
+from lowresmt.pipeline import PipelineConfig, load_corpora, run_pipeline
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures" / "e2e"
+FAMILY = ("fa", "fb", "fc")
+TARGET = "low"
+
+
+def write_lexicon(table, path):
+    rows = [
+        f"{entity_id}\t{lang}\t{'||'.join(forms)}\n"
+        for entity_id, by_lang in sorted(table.entities.items())
+        for lang, forms in sorted(by_lang.items())
+    ]
+    path.write_text("".join(rows), encoding="utf-8")
+
+
+def entity_corpus(root, seed):
+    """Family and target corpora whose lines mention entities independently.
+
+    Each language draws its own entities per line, so many mentions have
+    no counterpart on the other side of a pair; some lexicon entries lack
+    a language, family texts are ragged, and a few surfaces carry a typo
+    that only the fuzzy matcher finds.
+    """
+    rng = random.Random(seed)
+    languages = [*FAMILY, TARGET]
+    table = make_entity_table(6, languages, rng)
+    for by_lang in table.entities.values():
+        if rng.random() < 0.3:
+            del by_lang[rng.choice(languages)]
+    filler = make_filler_words(12, rng)
+    ids = [f"L{i:02d}" for i in range(rng.randint(6, 12))]
+    low_ids = ids[: rng.randint(4, len(ids))]
+    corpus_dir = root / "corpus"
+    corpus_dir.mkdir()
+    for lang in languages:
+        lines = {}
+        for lid in low_ids if lang == TARGET else ids:
+            if lang != TARGET and lid not in low_ids and rng.random() < 0.2:
+                continue
+            tokens = rng.sample(filler, rng.randint(2, 5))
+            for entity_id in rng.sample(sorted(table.entities), rng.randint(0, 3)):
+                forms = table.forms(entity_id, lang)
+                if forms:
+                    surface = forms[0]
+                    if rng.random() < 0.2:
+                        surface = surface[:-1] + "z"
+                    tokens.insert(rng.randint(0, len(tokens)), surface)
+            lines[lid] = tuple(tokens)
+        save_text(ParallelText(lang, lines), corpus_dir / f"{lang}.txt")
+    write_lexicon(table, root / "lexicon.tsv")
+    return PipelineConfig(
+        target=TARGET,
+        corpus_dir=corpus_dir,
+        out_dir=root / "out",
+        family=FAMILY,
+        lexicon=root / "lexicon.tsv",
+        seed=seed,
+        stage1_ratios=(("train", 0.5), ("val", 0.5)),
+        stage2_ratios=(("train", 0.5), ("val", 0.5)),
+        max_ne=0,
+    )
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_every_emitted_token_is_in_vocab(seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = entity_corpus(Path(tmp), seed)
+        run_pipeline(config)
+        vocab = set(
+            (config.out_dir / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        )
+        for path in sorted(config.out_dir.glob("stage*/*.*")):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                missing = [token for token in line.split() if token not in vocab]
+                assert not missing, f"{path.name}: {missing}"
+
+
+def test_one_mention_search_per_language_line(monkeypatch, tmp_path):
+    calls: Counter = Counter()
+    find_mentions = lowresmt.lexicon.find_mentions
+
+    def counting(tokens, language, *args, **kwargs):
+        calls[language] += 1
+        return find_mentions(tokens, language, *args, **kwargs)
+
+    monkeypatch.setattr(lowresmt.datagen, "find_mentions", counting)
+    monkeypatch.setattr(lowresmt.lexicon, "find_mentions", counting)
+    config = PipelineConfig.from_file(FIXTURE_DIR / "config.json", out_dir=tmp_path)
+    manifest = run_pipeline(config)
+    corpora = load_corpora(config.corpus_dir)
+    expected = {
+        lang: len(corpora[lang]) for lang in [*manifest["family"], config.target]
+    }
+    assert dict(calls) == expected
+

@@ -11,14 +11,12 @@ from lowresmt.align import (
 )
 from lowresmt.corpus import ParallelText
 from lowresmt.rank import (
-    FAMO_PLUS,
     FamilyOfChoice,
     LanguageRanking,
     LanguageScore,
     famd_score,
     famp_score,
     rank_languages,
-    read_family_list,
     select_family,
     word_replacement_translate,
     write_ranking,
@@ -273,10 +271,3 @@ class TestSelectFamily:
         with pytest.raises(ValueError, match="duplicate"):
             FamilyOfChoice(target="x", members=("y", "y"), provenance="FAMD")
 
-
-def test_read_family_list(tmp_path):
-    path = tmp_path / "family.txt"
-    path.write_text("de\nda\n\nnl\n", encoding="utf-8")
-    family = read_family_list(path, "en")
-    assert family.members == ("de", "da", "nl")
-    assert family.provenance == FAMO_PLUS
