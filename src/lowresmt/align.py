@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 log = logging.getLogger(__name__)
 
@@ -43,9 +43,6 @@ class AlignmentModel:
     epsilon: float = 1e-9
     iterations: int = 0
     log_likelihoods: list[float] = field(default_factory=list)
-
-    def prob(self, source: str, target: str) -> float:
-        return self.ttable.get(source, {}).get(target, 0.0)
 
 
 @dataclass(frozen=True)
@@ -87,32 +84,20 @@ def _usable_pairs(bitext: Bitext) -> list[tuple[Tokens, Tokens]]:
     return pairs
 
 
-def _log_likelihood(model: AlignmentModel, pairs: Sequence[tuple[Tokens, Tokens]]) -> float:
-    total = 0.0
-    null_row = model.ttable.get(NULL_TOKEN, {})
-    for src, tgt in pairs:
-        prior_real = (1.0 - model.p_null) / len(src)
-        for t in tgt:
-            p = model.p_null * null_row.get(t, 0.0)
-            for s in src:
-                p += prior_real * model.ttable.get(s, {}).get(t, 0.0)
-            total += math.log(max(p, 1e-300))
-    return total
-
-
 def train_alignment(
-    bitext: Bitext,
-    iterations: int = 10,
-    *,
-    p_null: float = 0.08,
-    epsilon: float = 1e-9,
+    bitext: Bitext, iterations: int = 10, *, p_null: float = 0.08
 ) -> AlignmentModel:
     """EM-train the lexical table on a bitext, source side conditioning.
 
     Rows start uniform over co-occurring target words (the null row
     co-occurs with everything), so the first expectation step is well
-    defined without smoothing.  The per-iteration corpus log-likelihood
-    is recorded on the returned model and is non-decreasing.
+    defined without smoothing.  Each iteration is one pass over the
+    pairs: the E-step's per-token denominators are exactly the model's
+    likelihood terms, so the pass records the corpus log-likelihood of
+    the current table while it gathers the expected counts.  A final
+    pass scores the last table, so ``log_likelihoods`` holds
+    ``iterations + 1`` values (entry i is the table after i M-steps)
+    and is non-decreasing.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -131,36 +116,35 @@ def train_alignment(
                 row[t] = None
     ttable = {s: {t: 1.0 / len(row) for t in row} for s, row in cooc.items()}
 
-    model = AlignmentModel(
-        ttable=ttable, p_null=p_null, epsilon=epsilon, iterations=iterations
-    )
-    model.log_likelihoods.append(_log_likelihood(model, pairs))
-    for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = {}
+    model = AlignmentModel(ttable=ttable, p_null=p_null, iterations=iterations)
+    for step in range(iterations + 1):
+        final = step == iterations
+        likelihood = 0.0
+        counts: dict[str, dict[str, float]] = {NULL_TOKEN: {}}
+        null_row, null_counts = ttable[NULL_TOKEN], counts[NULL_TOKEN]
         for src, tgt in pairs:
             prior_real = (1.0 - p_null) / len(src)
-            null_row = ttable[NULL_TOKEN]
+            rows = [ttable[s] for s in src]
+            count_rows = [counts.setdefault(s, {}) for s in src]
             for t in tgt:
                 null_score = p_null * null_row.get(t, 0.0)
-                scores = [prior_real * ttable[s].get(t, 0.0) for s in src]
+                scores = [prior_real * row.get(t, 0.0) for row in rows]
                 denom = null_score + sum(scores)
-                if denom <= 0.0:
+                likelihood += math.log(max(denom, 1e-300))
+                if final or denom <= 0.0:
                     continue
-                _bump(counts, NULL_TOKEN, t, null_score / denom)
-                for s, score in zip(src, scores):
+                null_counts[t] = null_counts.get(t, 0.0) + null_score / denom
+                for count_row, score in zip(count_rows, scores):
                     if score > 0.0:
-                        _bump(counts, s, t, score / denom)
+                        count_row[t] = count_row.get(t, 0.0) + score / denom
+        model.log_likelihoods.append(likelihood)
+        if final:
+            break
         for s, row in counts.items():
             total = sum(row.values())
             if total > 0.0:
                 ttable[s] = {t: c / total for t, c in row.items()}
-        model.log_likelihoods.append(_log_likelihood(model, pairs))
     return model
-
-
-def _bump(counts: dict[str, dict[str, float]], s: str, t: str, value: float) -> None:
-    row = counts.setdefault(s, {})
-    row[t] = row.get(t, 0.0) + value
 
 
 def viterbi_align(model: AlignmentModel, pair: tuple[Tokens, Tokens]) -> SentenceAlignment:

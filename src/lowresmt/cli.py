@@ -275,6 +275,8 @@ def main(argv=None) -> int:
     try:
         if args.workers is None:
             args.workers = _env_workers()
+        if args.workers is not None and args.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {args.workers}")
         return args.handler(args)
     except (ValueError, OSError) as error:
         log.error("%s", error)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import ParallelText, SplitSpec, load_text
@@ -40,24 +40,6 @@ log = logging.getLogger(__name__)
 
 STAGE1_RATIOS = (("train", 0.8), ("val", 0.1), ("test", 0.1))
 STAGE2_RATIOS = (("train", 0.95), ("val", 0.05))
-
-_CONFIG_KEYS = {
-    "target",
-    "corpus_dir",
-    "out_dir",
-    "family",
-    "k",
-    "lexicon",
-    "edit_threshold",
-    "seed",
-    "split_mode",
-    "stage1_ratios",
-    "stage2_ratios",
-    "iterations",
-    "min_shared_lines",
-    "max_ne",
-    "workers",
-}
 
 
 @dataclass
@@ -155,6 +137,9 @@ class PipelineConfig:
         # exercise ratio validation early
         SplitSpec(self.stage1_ratios, seed=self.seed, mode=self.split_mode)
         SplitSpec(self.stage2_ratios, seed=self.seed, mode=self.split_mode)
+
+
+_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 
 
 def load_corpora(corpus_dir: str | Path) -> dict[str, ParallelText]:

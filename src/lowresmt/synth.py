@@ -10,7 +10,7 @@ import random
 from .corpus import ParallelText
 
 BASE_ALPHABET = "abcdefghijklm"
-NOISE_ALPHBET = "nopqrstuvw"
+NOISE_ALPHABET = "nopqrstuvw"
 
 
 def make_vocab(size: int, rng: random.Random, *, alphabet: str = BASE_ALPHABET,
@@ -66,7 +66,7 @@ def noised_copy(
     lines: dict[str, tuple[str, ...]] = {}
     for lid, tokens in text.lines.items():
         replaced = tuple(
-            "".join(rng.choice(NOISE_ALPHBET) for _ in range(6))
+            "".join(rng.choice(NOISE_ALPHABET) for _ in range(6))
             if rng.random() < fraction
             else token
             for token in tokens

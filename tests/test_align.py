@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 
 import pytest
@@ -56,6 +57,42 @@ class TestTrainAlignment:
         assert len(model.log_likelihoods) == 11
         for earlier, later in zip(model.log_likelihoods, model.log_likelihoods[1:]):
             assert later >= earlier - 1e-9
+
+    def test_log_likelihoods_score_the_table_after_each_m_step(self):
+        rng = random.Random(5)
+        bitext = []
+        for _ in range(30):
+            src = rng.sample([f"s{i}" for i in range(12)], rng.randint(2, 6))
+            tgt = [f"t{s[1:]}" for s in src] + [f"t{rng.randint(0, 20)}"]
+            rng.shuffle(tgt)
+            bitext.append((tuple(src), tuple(tgt)))
+        full = train_alignment(bitext, 6)
+        for k in range(1, 6):
+            assert train_alignment(bitext, k).log_likelihoods == full.log_likelihoods[: k + 1]
+        direct = 0.0
+        for src, tgt in bitext:
+            prior_real = (1.0 - full.p_null) / len(src)
+            for t in tgt:
+                p = full.p_null * full.ttable[NULL_TOKEN].get(t, 0.0)
+                p += sum(prior_real * full.ttable[s].get(t, 0.0) for s in src)
+                direct += math.log(p)
+        assert full.log_likelihoods[-1] == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+    def test_one_pass_over_the_pairs_per_e_step(self):
+        class CountingTokens(tuple):
+            reads = 0
+
+            def __iter__(self):
+                CountingTokens.reads += 1
+                return super().__iter__()
+
+        bitext = [(("a",), CountingTokens(("x", "y"))), (("a", "b"), CountingTokens(("y",)))]
+        # building the co-occurrence rows reads each target side 1 + len(source) times
+        setup_reads = (1 + 1) + (1 + 2)
+        for iterations in (1, 4):
+            CountingTokens.reads = 0
+            train_alignment(bitext, iterations)
+            assert CountingTokens.reads == setup_reads + 2 * (iterations + 1)
 
     def test_empty_pairs_skipped_with_warning(self, caplog):
         bitext = [(("a",), ("b",)), ((), ("b",)), (("a",), ())]

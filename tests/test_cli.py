@@ -253,6 +253,25 @@ class TestUsageErrors:
         assert main(["score", "--hypotheses", str(hyp), "--references", str(hyp)]) == 1
         assert "LOWRESMT_WORKERS" in caplog.text
 
+    @pytest.mark.parametrize("command", ["rank", "pipeline"])
+    @pytest.mark.parametrize("flag, variable", [(["--workers", "0"], None), ([], "-3")])
+    def test_workers_below_one_exit_one(
+        self, tmp_path, small_corpus_dir, monkeypatch, caplog, command, flag, variable
+    ):
+        if variable is not None:
+            monkeypatch.setenv("LOWRESMT_WORKERS", variable)
+        out = tmp_path / "out"
+        if command == "rank":
+            argv = ["rank", "--target", str(small_corpus_dir / "tt.txt"),
+                    "--candidates", str(small_corpus_dir), "--metric", "famd",
+                    "--output", str(out)]
+        else:
+            config = pipeline_config(small_corpus_dir, out, "famd")
+            argv = ["pipeline", "--config", str(write(tmp_path / "c.json", json.dumps(config)))]
+        assert main(argv + flag) == 1
+        assert "workers must be >= 1" in caplog.text
+        assert not out.exists()
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(
             [

@@ -201,6 +201,37 @@ class TestRankLanguages:
         assert serial.entries == pooled.entries
         assert serial_skips == pooled_skips
 
+    def test_pool_is_capped_by_candidates_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("lowresmt.rank.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("lowresmt.rank.os.cpu_count", lambda: 3)
+        target = random_text("tgt", 60, seed=19)
+        candidates = self.make_candidates(target, seed=19)
+        serial, _ = rank_languages(target, candidates, "famd")
+        assert sizes == []
+        pooled, _ = rank_languages(target, candidates, "famd", workers=1000)
+        assert sizes == [3]
+        assert pooled.entries == serial.entries
+        rank_languages(target, candidates[:2], "famd", workers=1000)
+        assert sizes == [3, 2]
+        monkeypatch.setattr("lowresmt.rank.os.cpu_count", lambda: None)
+        rank_languages(target, candidates, "famd", workers=1000)
+        assert sizes == [3, 2]
+
     def test_monotone_degradation_under_noise(self):
         target = random_text("tgt", 100, seed=17)
         copy = renamed_copy(target, "c")
