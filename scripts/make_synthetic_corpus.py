@@ -22,6 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lowresmt.pipeline import PipelineConfig, run_pipeline  # noqa: E402
+from lowresmt.synth import make_vocab  # noqa: E402
 
 SEED = 13
 N_LINES = 300
@@ -34,20 +35,9 @@ ENTITY_ALPHABET = "nopqrstuvwxyz"
 JUNK_ALPHABET = "nopqrstuvw"
 
 
-def distinct_words(rng, count, alphabet, min_len, max_len):
-    words = []
-    seen = set()
-    while len(words) < count:
-        word = "".join(rng.choice(alphabet) for _ in range(rng.randint(min_len, max_len)))
-        if word not in seen:
-            seen.add(word)
-            words.append(word)
-    return words
-
-
 def build_abstract_lines(rng):
     """Lines as (kind, payload) items: filler word indexes or entity ids."""
-    filler = distinct_words(rng, 80, FILLER_ALPHABET, 4, 8)
+    filler = make_vocab(80, rng, alphabet=FILLER_ALPHABET, min_len=4, max_len=8)
     lines = []
     for _ in range(N_LINES):
         items = [("w", word) for word in rng.sample(filler, rng.randint(5, 9))]
@@ -59,7 +49,7 @@ def build_abstract_lines(rng):
 
 
 def build_surfaces(rng):
-    stems = distinct_words(rng, N_ENTITIES, ENTITY_ALPHABET, 6, 8)
+    stems = make_vocab(N_ENTITIES, rng, alphabet=ENTITY_ALPHABET, min_len=6, max_len=8)
     languages = (TARGET, *CANDIDATES)
     return {
         entity: {

@@ -24,13 +24,22 @@ class BleuScore:
     brevity_penalty: float
 
 
-def _ngrams(tokens: Tokens, order: int) -> Counter:
-    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+def _ngram_counts(tokens: Tokens) -> Counter:
+    """Counts of every n-gram of orders 1 to MAX_ORDER, keyed by gram tuple."""
+    tokens = tuple(tokens)
+    return Counter(
+        tokens[i : i + order]
+        for order in range(1, MAX_ORDER + 1)
+        for i in range(len(tokens) - order + 1)
+    )
 
 
-def _clipped_matches(hypothesis: Tokens, reference: Tokens, order: int) -> int:
-    ref_counts = _ngrams(reference, order)
-    return sum(min(count, ref_counts[gram]) for gram, count in _ngrams(hypothesis, order).items())
+def _clipped_matches(hypothesis: Tokens, reference: Tokens) -> list[int]:
+    """Clipped n-gram matches per order, index 0 holding unigrams."""
+    matches = [0] * MAX_ORDER
+    for gram, count in (_ngram_counts(hypothesis) & _ngram_counts(reference)).items():
+        matches[len(gram) - 1] += count
+    return matches
 
 
 def brevity_penalty(hyp_len: int, ref_len: int) -> float:
@@ -60,9 +69,9 @@ def corpus_bleu(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> B
     for hyp, ref in zip(hypotheses, references):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for order in range(1, MAX_ORDER + 1):
-            totals[order - 1] += max(len(hyp) - order + 1, 0)
-            matches[order - 1] += _clipped_matches(hyp, ref, order)
+        for index, match in enumerate(_clipped_matches(hyp, ref)):
+            totals[index] += max(len(hyp) - index, 0)
+            matches[index] += match
     precisions = tuple(m / t if t else 0.0 for m, t in zip(matches, totals))
     bp = brevity_penalty(hyp_len, ref_len)
     usable = [(m, t) for m, t in zip(matches, totals) if t > 0]
@@ -84,8 +93,7 @@ def sentence_bleu(hypothesis: Tokens, reference: Tokens) -> float:
     if not hypothesis or not reference:
         return 0.0
     log_sum = 0.0
-    for order in range(1, MAX_ORDER + 1):
-        match = _clipped_matches(hypothesis, reference, order)
+    for order, match in enumerate(_clipped_matches(hypothesis, reference), start=1):
         total = max(len(hypothesis) - order + 1, 0)
         if order == 1:
             precision = match / total

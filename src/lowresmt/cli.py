@@ -267,12 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    level = logging.getLevelName(args.log_level.upper())
     logging.basicConfig(
         stream=sys.stderr,
-        level=getattr(logging, str(args.log_level).upper(), logging.INFO),
+        level=level if isinstance(level, int) else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if not isinstance(level, int):
+            raise ValueError(
+                f"unknown log level {args.log_level!r};"
+                " expected DEBUG, INFO, WARNING, ERROR or CRITICAL"
+            )
         if args.workers is None:
             args.workers = _env_workers()
         if args.workers is not None and args.workers < 1:

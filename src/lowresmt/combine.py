@@ -4,8 +4,9 @@ Each line's candidates form a cluster; the kept translation is the one
 maximizing the sum of similarities to all other candidates, i.e. the
 cluster center.  Similarity is smoothed sentence BLEU averaged over both
 directions, which is symmetric and reference-free within the cluster.
-The O(k^2) pairwise cost is fine: clusters hold at most one candidate
-per source language and sentences are short.
+Each unordered pair is scored once and its similarity added to both
+candidates' sums, so a cluster of k costs k(k-1)/2 similarity calls,
+two sentence BLEU calls each.
 """
 from __future__ import annotations
 
@@ -56,24 +57,15 @@ def select_center(cluster: TranslationCluster) -> CentroidChoice:
     if not candidates:
         raise ValueError(f"empty cluster for line {cluster.line_id!r}")
     k = len(candidates)
-    if k == 1:
-        language, tokens = candidates[0]
-        return CentroidChoice(cluster.line_id, language, tuple(tokens), 0.0)
-    sims = [[0.0] * k for _ in range(k)]
+    scores = [0.0] * k
     for i in range(k):
         for j in range(i + 1, k):
             value = similarity(candidates[i][1], candidates[j][1])
-            sims[i][j] = value
-            sims[j][i] = value
-    best_index = 0
-    best_score = -1.0
-    for i in range(k):
-        score = sum(sims[i])
-        if score > best_score:
-            best_score = score
-            best_index = i
-    language, tokens = candidates[best_index]
-    return CentroidChoice(cluster.line_id, language, tuple(tokens), best_score)
+            scores[i] += value
+            scores[j] += value
+    best = max(range(k), key=scores.__getitem__)
+    language, tokens = candidates[best]
+    return CentroidChoice(cluster.line_id, language, tuple(tokens), scores[best])
 
 
 def combine_corpus(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import ParallelText, SplitSpec, load_text
@@ -66,39 +66,24 @@ class PipelineConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
+        unknown = sorted(set(raw) - set(_CONFIG_TYPES))
         if unknown:
             raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
         base = path.resolve().parent
-
-        def resolve(value: str) -> Path:
-            p = Path(value)
-            return p if p.is_absolute() else base / p
-
         kwargs: dict = {}
-        for key in ("target", "split_mode"):
-            if key in raw:
-                kwargs[key] = str(raw[key])
-        for key in ("k", "edit_threshold", "seed", "iterations", "min_shared_lines",
-                    "max_ne", "workers"):
-            if key in raw:
-                kwargs[key] = int(raw[key])
-        for key in ("stage1_ratios", "stage2_ratios"):
-            if key in raw:
-                kwargs[key] = tuple((str(n), float(f)) for n, f in raw[key])
-        if "corpus_dir" in raw:
-            kwargs["corpus_dir"] = resolve(raw["corpus_dir"])
-        if raw.get("lexicon") is not None:
-            kwargs["lexicon"] = resolve(raw["lexicon"])
-        family = raw.get("family")
-        if isinstance(family, str):
-            kwargs["family"] = family
-        elif isinstance(family, list):
-            kwargs["family"] = tuple(str(code) for code in family)
+        for key, value in raw.items():
+            check, expected = _CONFIG_TYPES[key]
+            if not check(value):
+                raise ValueError(f"{path}: config key {key!r} must be {expected}, got {value!r}")
+            if key in ("corpus_dir", "out_dir", "lexicon"):
+                if value is not None:
+                    kwargs[key] = base / value
+            elif key in ("stage1_ratios", "stage2_ratios"):
+                kwargs[key] = tuple((name, float(fraction)) for name, fraction in value)
+            else:
+                kwargs[key] = tuple(value) if isinstance(value, list) else value
         if out_dir is not None:
             kwargs["out_dir"] = Path(out_dir)
-        elif "out_dir" in raw:
-            kwargs["out_dir"] = resolve(raw["out_dir"])
         missing = {"target", "corpus_dir", "out_dir", "family"} - set(kwargs)
         if missing:
             raise ValueError(f"{path}: missing config key(s): {', '.join(sorted(missing))}")
@@ -139,7 +124,29 @@ class PipelineConfig:
         SplitSpec(self.stage2_ratios, seed=self.seed, mode=self.split_mode)
 
 
-_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
+# The JSON type each config key must hold, and the phrase naming it in errors.
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_TEXT = (lambda v: type(v) is str, "a string")
+_RATIOS = (
+    lambda v: type(v) is list and all(
+        type(pair) is list and len(pair) == 2 and type(pair[0]) is str
+        and type(pair[1]) in (int, float)
+        for pair in v
+    ),
+    "a list of [split name, fraction] pairs",
+)
+_CONFIG_TYPES = {
+    **dict.fromkeys(("target", "corpus_dir", "out_dir", "split_mode"), _TEXT),
+    **dict.fromkeys(("k", "edit_threshold", "seed", "iterations", "min_shared_lines",
+                     "max_ne", "workers"), _INTEGER),
+    "stage1_ratios": _RATIOS,
+    "stage2_ratios": _RATIOS,
+    "family": (
+        lambda v: type(v) is str or type(v) is list and all(type(code) is str for code in v),
+        "a metric name or a list of language codes",
+    ),
+    "lexicon": (lambda v: v is None or type(v) is str, "a string or null"),
+}
 
 
 def load_corpora(corpus_dir: str | Path) -> dict[str, ParallelText]:
@@ -213,10 +220,16 @@ def build_shared_vocab(
 def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) -> dict:
     """Rank, select the family, and emit the requested stages.
 
+    Stage 1 needs a family of at least two; that fails before any work.
+
     Returns the manifest written to out_dir/manifest.json.  The manifest
     carries no timestamps or absolute paths, so reruns are comparable
     checksum for checksum.
     """
+    if 1 in stages:
+        size = config.k if isinstance(config.family, str) else len(config.family)
+        if size < 2:
+            raise ValueError(f"stage 1 needs a family of at least two languages, got {size}")
     corpora = load_corpora(config.corpus_dir)
     if config.target not in corpora:
         raise ValueError(f"target {config.target!r} has no corpus")

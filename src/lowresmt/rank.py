@@ -54,7 +54,6 @@ class LanguageRanking:
 
     metric: str
     entries: tuple[LanguageScore, ...]
-    tie_break: str = "ascending language code"
 
 
 @dataclass(frozen=True)

@@ -9,39 +9,25 @@ import random
 
 from lowresmt.corpus import ParallelText
 from lowresmt.lexicon import LexiconTable
+from lowresmt.synth import make_vocab
 
 FILLER_ALPHABET = "abcdefghijklm"
 ENTITY_ALPHABET = "nopqrstuvwxyz"
 
 
 def make_filler_words(count: int, rng: random.Random) -> list[str]:
-    words: list[str] = []
-    seen: set[str] = set()
-    while len(words) < count:
-        word = "".join(rng.choice(FILLER_ALPHABET) for _ in range(rng.randint(5, 9)))
-        if word not in seen:
-            seen.add(word)
-            words.append(word)
-    return words
+    return make_vocab(count, rng, alphabet=FILLER_ALPHABET, min_len=5, max_len=9)
 
 
 def make_entity_table(
     n_entities: int, languages: list[str], rng: random.Random
 ) -> LexiconTable:
     """Synthetic table with one distinct single-token surface per language."""
-    entities: dict[str, dict[str, list[str]]] = {}
-    seen: set[str] = set()
-    for index in range(n_entities):
-        while True:
-            stem = "".join(
-                rng.choice(ENTITY_ALPHABET) for _ in range(rng.randint(6, 8))
-            ).capitalize()
-            if stem not in seen:
-                seen.add(stem)
-                break
-        entities[f"e{index:03d}"] = {
-            lang: [f"{stem}{lang.capitalize()}"] for lang in languages
-        }
+    stems = make_vocab(n_entities, rng, alphabet=ENTITY_ALPHABET, min_len=6, max_len=8)
+    entities = {
+        f"e{index:03d}": {lang: [f"{stem.capitalize()}{lang.capitalize()}"] for lang in languages}
+        for index, stem in enumerate(stems)
+    }
     return LexiconTable(entities)
 
 

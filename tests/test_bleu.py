@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lowresmt import bleu
 from lowresmt.bleu import BleuScore, corpus_bleu, sentence_bleu
 
 
@@ -170,3 +172,25 @@ def test_bleu_score_is_frozen():
     score = BleuScore(1.0, (1.0, 1.0, 1.0, 1.0), 1.0)
     with pytest.raises(AttributeError):
         score.value = 0.5
+
+
+def test_sentence_bleu_counts_each_side_once(monkeypatch):
+    built = []
+
+    class RecordingCounter(Counter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(dict(self))
+
+    monkeypatch.setattr(bleu, "Counter", RecordingCounter)
+    hyp = "the cat sat on the mat".split()
+    ref = "the cat is on the mat".split()
+    sentence_bleu(hyp, ref)
+
+    def every_gram(tokens):
+        grams = (tuple(tokens[i : i + n]) for n in range(1, 5) for i in range(len(tokens) - n + 1))
+        return dict(Counter(grams))
+
+    assert len(built) == 2
+    assert every_gram(hyp) in built
+    assert every_gram(ref) in built

@@ -236,6 +236,58 @@ class TestPipelineAndGen:
         assert main(["pipeline", "--config", str(config_path)]) == 1
 
 
+    @pytest.mark.parametrize("command, family, k", [("pipeline", "famp", 1), ("gen", ["aa"], 2)])
+    def test_stage1_family_below_two_fails_before_any_work(
+        self, tmp_path, small_corpus_dir, caplog, command, family, k
+    ):
+        out_dir = tmp_path / "out"
+        config = pipeline_config(small_corpus_dir, out_dir, family)
+        config["k"] = k
+        config_path = write(tmp_path / "config.json", json.dumps(config))
+        assert main([command, "--config", str(config_path)]) == 1
+        assert "stage 1 needs a family of at least two languages" in caplog.text
+        assert not (out_dir / "ranking.tsv").exists()
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("stage", ["2", "3"])
+    def test_gen_later_stage_with_one_member(self, tmp_path, small_corpus_dir, stage):
+        out_dir = tmp_path / "out"
+        config_path = write(
+            tmp_path / "config.json", json.dumps(pipeline_config(small_corpus_dir, out_dir, ["aa"]))
+        )
+        assert main(["gen", "--config", str(config_path), "--stage", stage]) == 0
+        assert (out_dir / f"stage{stage}" / "train.src").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lexicon", 5),
+            ("corpus_dir", ["x"]),
+            ("out_dir", 3),
+            ("stage1_ratios", 5),
+            ("stage2_ratios", [["train", "0.9"], ["val", 0.1]]),
+            ("seed", None),
+            ("k", 2.7),
+            ("k", True),
+            ("iterations", "4"),
+            ("family", 5),
+            ("family", ["aa", 2]),
+            ("target", 7),
+        ],
+    )
+    def test_wrong_config_value_type_names_file_and_key(
+        self, tmp_path, small_corpus_dir, caplog, key, value
+    ):
+        out_dir = tmp_path / "out"
+        config = pipeline_config(small_corpus_dir, out_dir, "famp")
+        config[key] = value
+        config_path = write(tmp_path / "config.json", json.dumps(config))
+        assert main(["pipeline", "--config", str(config_path)]) == 1
+        assert str(config_path) in caplog.text
+        assert f"config key {key!r} must be" in caplog.text
+        assert not out_dir.exists()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -252,6 +304,20 @@ class TestUsageErrors:
         hyp = write(tmp_path / "hyp.txt", "a b\n")
         assert main(["score", "--hypotheses", str(hyp), "--references", str(hyp)]) == 1
         assert "LOWRESMT_WORKERS" in caplog.text
+
+    @pytest.mark.parametrize(
+        "flag, variable", [(["--log-level", "bogus"], None), ([], "basic_format")]
+    )
+    def test_unknown_log_level_exits_one(self, tmp_path, monkeypatch, caplog, flag, variable):
+        if variable is not None:
+            monkeypatch.setenv("LOWRESMT_LOG_LEVEL", variable)
+        hyp = write(tmp_path / "hyp.txt", "a b\n")
+        out = tmp_path / "score.tsv"
+        argv = [*flag, "score", "--hypotheses", str(hyp), "--references", str(hyp),
+                "--output", str(out)]
+        assert main(argv) == 1
+        assert "unknown log level" in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["rank", "pipeline"])
     @pytest.mark.parametrize("flag, variable", [(["--workers", "0"], None), ([], "-3")])

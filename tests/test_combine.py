@@ -223,3 +223,18 @@ class TestCombineCorpus:
         assert fields[0] == "1"
         assert fields[1] == "aa"
         assert float(fields[2]) == pytest.approx(1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcd"), max_size=6), min_size=1, max_size=11))
+def test_centrality_is_the_index_ordered_similarity_sum(token_lists):
+    candidates = tuple((f"l{i:02d}", tuple(tokens)) for i, tokens in enumerate(token_lists))
+    choice = select_center(TranslationCluster("L", candidates))
+    sums = [
+        sum(similarity(a, b) for j, (_, b) in enumerate(candidates) if j != i)
+        for i, (_, a) in enumerate(candidates)
+    ]
+    best = sums.index(max(sums))
+    assert choice.chosen_language == f"l{best:02d}"
+    assert choice.chosen_tokens == candidates[best][1]
+    assert choice.centrality == sums[best]

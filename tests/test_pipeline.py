@@ -1,6 +1,7 @@
 import random
 import tempfile
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ import lowresmt.datagen
 import lowresmt.lexicon
 from helpers import make_entity_table, make_filler_words
 from lowresmt.corpus import ParallelText, save_text
-from lowresmt.pipeline import PipelineConfig, load_corpora, run_pipeline
+from lowresmt.pipeline import _CONFIG_TYPES, PipelineConfig, load_corpora, run_pipeline
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "e2e"
 FAMILY = ("fa", "fb", "fc")
@@ -107,3 +108,7 @@ def test_one_mention_search_per_language_line(monkeypatch, tmp_path):
     }
     assert dict(calls) == expected
 
+
+
+def test_every_config_field_has_a_type_check():
+    assert set(_CONFIG_TYPES) == {field.name for field in fields(PipelineConfig)}
