@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from .corpus import read_rows
+
 log = logging.getLogger(__name__)
 
 NULL_TOKEN = "<null>"
@@ -237,13 +239,9 @@ def save_model(model: AlignmentModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> AlignmentModel:
-    path = Path(path)
     ttable: dict[str, dict[str, float]] = {}
     p_null, epsilon, iterations = 0.08, 1e-9, 0
-    for number, row in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not row:
-            continue
-        fields = row.split("\t")
+    for number, fields in read_rows(path):
         if fields[0] == "#p_null":
             p_null = float(fields[1])
         elif fields[0] == "#epsilon":
@@ -273,13 +271,9 @@ def save_statistics(stats: AlignmentStatistics, path: str | Path) -> None:
 
 
 def load_statistics(path: str | Path) -> AlignmentStatistics:
-    path = Path(path)
     words: dict[str, WordStatistics] = {}
     lengths: dict[int, int] = {}
-    for number, row in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not row:
-            continue
-        fields = row.split("\t")
+    for number, fields in read_rows(path):
         if fields[0] == "#source_length":
             lengths[int(fields[1])] = int(fields[2])
         elif len(fields) == 5:

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import align as align_mod
 from . import combine as combine_mod
 from .bleu import corpus_bleu
-from .corpus import load_text, save_text
+from .corpus import load_text, read_rows, save_text
 from .lexicon import build_target_dictionary, detag, load_lexicon, tag_sentence
 from .pipeline import PipelineConfig, run_pipeline
 from .rank import rank_languages, write_ranking, write_skips
@@ -97,12 +97,7 @@ def _cmd_tag(args) -> int:
 
 def _read_dicts(path: str | Path) -> dict[str, dict[str, tuple[str, str]]]:
     out: dict[str, dict[str, tuple[str, str]]] = {}
-    for number, row in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not row:
-            continue
-        fields = row.split("\t")
+    for number, fields in read_rows(path):
         if len(fields) != 4:
             raise ValueError(f"{path}:{number}: expected line_id<TAB>placeholder<TAB>entity<TAB>surface")
         lid, name, entity_id, surface = fields

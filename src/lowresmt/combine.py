@@ -68,9 +68,7 @@ def select_center(cluster: TranslationCluster) -> CentroidChoice:
     return CentroidChoice(cluster.line_id, language, tuple(tokens), scores[best])
 
 
-def combine_corpus(
-    translations: Sequence[ParallelText], *, output_language: str = "combined"
-) -> tuple[ParallelText, CombineReport]:
+def combine_corpus(translations: Sequence[ParallelText]) -> tuple[ParallelText, CombineReport]:
     """Per-line cluster-center selection over line-aligned translations.
 
     All inputs must carry exactly the same line ids; the first ragged id
@@ -100,7 +98,7 @@ def combine_corpus(
         choices.append(choice)
         histogram[choice.chosen_language] += 1
         lines[lid] = choice.chosen_tokens
-    combined = ParallelText(language=output_language, lines=lines)
+    combined = ParallelText(language="combined", lines=lines)
     return combined, CombineReport(choices=tuple(choices), histogram=histogram)
 
 

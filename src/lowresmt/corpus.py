@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,17 @@ def load_text(path: str | Path, language: str) -> ParallelText:
             raise ValueError(f"{path}: duplicate line id {line_id!r}")
         lines[line_id] = tokens
     return ParallelText(language=language, lines=lines)
+
+
+def read_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield (1-based line number, tab-separated fields) of each non-blank table row.
+
+    Decodes ``utf-8-sig``, so a leading byte order mark is skipped.
+    """
+    rows = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    for number, row in enumerate(rows, start=1):
+        if row.strip():
+            yield number, row.split("\t")
 
 
 def save_text(text: ParallelText, path: str | Path) -> None:

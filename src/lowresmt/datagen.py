@@ -292,9 +292,7 @@ def emit_stage(
     family = [corpora[lang] for lang in spec.languages]
 
     if spec.stage == 1:
-        view = {text.language: text for text in intersect(family)} if len(family) > 1 else {
-            family[0].language: family[0]
-        }
+        view = {text.language: text for text in intersect(family)}
         emit_languages = list(spec.languages)
     else:
         view = symmetrize(corpora[spec.low_resource], family)

@@ -15,7 +15,9 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+from .corpus import read_rows
 
 Tokens = Sequence[str]
 
@@ -97,12 +99,8 @@ def load_lexicon(path: str | Path) -> LexiconTable:
     Duplicate (entity, language) rows merge their form lists, keeping
     first-seen order.
     """
-    path = Path(path)
     entities: dict[str, dict[str, list[str]]] = {}
-    for number, row in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not row.strip():
-            continue
-        parts = row.split("\t")
+    for number, parts in read_rows(path):
         if len(parts) != 3:
             raise ValueError(f"{path}:{number}: expected entity<TAB>language<TAB>forms")
         entity_id, language, forms_field = parts
@@ -200,29 +198,34 @@ def _fuzzy_entity(
     return best_entity
 
 
+def bind(mentions: Iterable[Mention]) -> dict[str, str]:
+    """Entity id -> placeholder, numbered by each entity's first mention."""
+    binding: dict[str, str] = {}
+    for mention in mentions:
+        if mention.entity_id not in binding:
+            binding[mention.entity_id] = placeholder(len(binding))
+    return binding
+
+
 def render_template(
     tokens: Tokens, mentions: Sequence[Mention], binding: Mapping[str, str]
 ) -> tuple[str, ...]:
     """Substitute mention spans with their bound placeholders.
 
-    Mentions of entities absent from the binding keep their surface
-    tokens untouched.
+    ``mentions`` must be ordered and disjoint, as ``find_mentions``
+    returns them; the token runs between bound spans are copied as
+    slices.  Mentions of entities absent from the binding keep their
+    surface tokens untouched.
     """
-    by_start = {mention.start: mention for mention in mentions}
     out: list[str] = []
     pos = 0
-    while pos < len(tokens):
-        mention = by_start.get(pos)
-        if mention is not None:
-            name = binding.get(mention.entity_id)
-            if name is not None:
-                out.append(name)
-            else:
-                out.extend(tokens[pos : mention.end])
+    for mention in mentions:
+        name = binding.get(mention.entity_id)
+        if name is not None:
+            out.extend(tokens[pos : mention.start])
+            out.append(name)
             pos = mention.end
-        else:
-            out.append(tokens[pos])
-            pos += 1
+    out.extend(tokens[pos:])
     return tuple(out)
 
 
@@ -235,13 +238,10 @@ def tag_sentence(
     dictionary records the first matched surface.
     """
     mentions = find_mentions(tokens, source_language, table, edit_threshold)
-    binding: dict[str, str] = {}
+    binding = bind(mentions)
     source_dict: dict[str, tuple[str, str]] = {}
     for mention in mentions:
-        if mention.entity_id not in binding:
-            name = placeholder(len(binding))
-            binding[mention.entity_id] = name
-            source_dict[name] = (mention.entity_id, mention.surface)
+        source_dict.setdefault(binding[mention.entity_id], (mention.entity_id, mention.surface))
     return TaggedSentence(
         template=render_template(tokens, mentions, binding), source_dict=source_dict
     )
@@ -258,10 +258,7 @@ def pair_templates(
     The target reuses the source's entity -> index binding so reordered
     mentions keep their indices; target-only entities stay as surfaces.
     """
-    binding: dict[str, str] = {}
-    for mention in source_mentions:
-        if mention.entity_id not in binding:
-            binding[mention.entity_id] = placeholder(len(binding))
+    binding = bind(source_mentions)
     return (
         render_template(source_tokens, source_mentions, binding),
         render_template(target_tokens, target_mentions, binding),

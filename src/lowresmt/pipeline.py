@@ -25,7 +25,7 @@ from .datagen import (
     unbound_surfaces,
     write_vocab,
 )
-from .lexicon import load_lexicon, pair_templates
+from .lexicon import bind, load_lexicon, render_template
 from .rank import (
     FAMO_PLUS,
     METRICS,
@@ -63,7 +63,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path, *, out_dir: str | Path | None = None) -> "PipelineConfig":
         path = Path(path)
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         unknown = sorted(set(raw) - set(_CONFIG_TYPES))
@@ -114,6 +114,10 @@ class PipelineConfig:
                     " or an explicit list of language codes"
                 )
         else:
+            if not self.family:
+                raise ValueError("explicit family must name at least one language")
+            if len(set(self.family)) != len(self.family):
+                raise ValueError(f"explicit family lists a language twice: {list(self.family)}")
             if self.target in self.family:
                 raise ValueError("explicit family must not contain the target")
             for code in self.family:
@@ -196,25 +200,25 @@ def build_shared_vocab(
 ) -> Vocabulary:
     """One vocabulary for all stages, holding every token any stage writes.
 
-    Counts come from each line rendered as a source side.  Surfaces left
-    on target sides join at count zero, over stage 1 (the family) and
-    stage 2 (family plus target, whose pairs include stage 3's).
+    Counts come from each line rendered as a source side, one language
+    at a time; that template holds every placeholder the line's pairs
+    write.  Surfaces left on target sides join at count zero, over
+    stage 1 (the family) and stage 2 (family plus target, whose pairs
+    include stage 3's).
     """
     languages = [*family.members, config.target]
     tags = [DirectionTag(a, b) for a in languages for b in languages if a != b]
     if mentions is None:
         return build_vocab([corpora[lang] for lang in languages], tags, config.max_ne)
-    templates = []
-    max_seen = 0
-    for lang in languages:
-        lines: dict[str, tuple[str, ...]] = {}
-        for lid, tokens in corpora[lang].lines.items():
-            found = mentions[lang][lid]
-            lines[lid], _ = pair_templates(tokens, found, (), ())
-            max_seen = max(max_seen, len({mention.entity_id for mention in found}))
-        templates.append(ParallelText(lang, lines))
+    templates = (
+        ParallelText(lang, {
+            lid: render_template(tokens, mentions[lang][lid], bind(mentions[lang][lid]))
+            for lid, tokens in corpora[lang].lines.items()
+        })
+        for lang in languages
+    )
     unbound = unbound_surfaces(family.members, mentions) | unbound_surfaces(languages, mentions)
-    return build_vocab(templates, tags, max(config.max_ne, max_seen), unbound)
+    return build_vocab(templates, tags, config.max_ne, unbound)
 
 
 def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) -> dict:
@@ -234,6 +238,8 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     if config.target not in corpora:
         raise ValueError(f"target {config.target!r} has no corpus")
     config.out_dir.mkdir(parents=True, exist_ok=True)
+    # a rerun that fails partway must not leave the last run's manifest behind
+    (config.out_dir / "manifest.json").unlink(missing_ok=True)
 
     family = resolve_family(config, corpora)
     family_path = config.out_dir / "family.txt"

@@ -130,6 +130,27 @@ class TestTagDetag:
         ) == 0
         assert load_text(detagged, "de").lines["L1"] == ("Ji", "calls", "Vati")
 
+    def test_byte_order_mark_in_dicts_keeps_first_line(self, tmp_path):
+        lexicon = write(tmp_path / "lex.tsv", "e1\ten\tYi\ne1\tde\tJi\n")
+        tagged = write(tmp_path / "tagged.txt", "V0\t__NE0 sings\nV1\t__NE0 too\n")
+        dicts = tmp_path / "dicts.tsv"
+        dicts.write_bytes("\ufeffV0\t__NE0\te1\tYi\nV1\t__NE0\te1\tYi\n".encode("utf-8"))
+        detagged = tmp_path / "out.txt"
+        report = tmp_path / "report.tsv"
+        assert main(
+            [
+                "detag",
+                "--input", str(tagged),
+                "--dicts", str(dicts),
+                "--language", "de",
+                "--lexicon", str(lexicon),
+                "--output", str(detagged),
+                "--report", str(report),
+            ]
+        ) == 0
+        assert load_text(detagged, "de").lines == {"V0": ("Ji", "sings"), "V1": ("Ji", "too")}
+        assert report.read_text(encoding="utf-8") == ""
+
 
 class TestCombine:
     def test_merges_files(self, tmp_path):
@@ -247,6 +268,21 @@ class TestPipelineAndGen:
         assert main([command, "--config", str(config_path)]) == 1
         assert "stage 1 needs a family of at least two languages" in caplog.text
         assert not (out_dir / "ranking.tsv").exists()
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "family, problem",
+        [([], "must name at least one language"), (["aa", "aa"], "lists a language twice")],
+    )
+    def test_explicit_family_checked_before_any_work(
+        self, tmp_path, small_corpus_dir, caplog, family, problem
+    ):
+        out_dir = tmp_path / "out"
+        config_path = write(
+            tmp_path / "config.json", json.dumps(pipeline_config(small_corpus_dir, out_dir, family))
+        )
+        assert main(["gen", "--config", str(config_path), "--stage", "2"]) == 1
+        assert problem in caplog.text
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("stage", ["2", "3"])

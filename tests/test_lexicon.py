@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import make_entity_table, make_filler_words
 from lowresmt.lexicon import (
     LexiconTable,
+    Mention,
     build_target_dictionary,
     detag,
     find_mentions,
@@ -15,6 +16,7 @@ from lowresmt.lexicon import (
     load_lexicon,
     pair_templates,
     placeholder,
+    render_template,
     tag_sentence,
 )
 
@@ -35,6 +37,49 @@ def oracle_levenshtein(a, b):
                 table[i - 1][j] + 1, table[i][j - 1] + 1, table[i - 1][j - 1] + cost
             )
     return table[-1][-1]
+
+
+def oracle_render(tokens, mentions, binding):
+    """Token-by-token rendering through a start -> mention map, kept independent."""
+    by_start = {mention.start: mention for mention in mentions}
+    out = []
+    pos = 0
+    while pos < len(tokens):
+        mention = by_start.get(pos)
+        if mention is not None:
+            name = binding.get(mention.entity_id)
+            if name is not None:
+                out.append(name)
+            else:
+                out.extend(tokens[pos : mention.end])
+            pos = mention.end
+        else:
+            out.append(tokens[pos])
+            pos += 1
+    return tuple(out)
+
+
+@st.composite
+def rendering_cases(draw):
+    """Tokens, ordered disjoint mention spans over them, and a partial binding."""
+    tokens = tuple(draw(st.lists(st.sampled_from(["a", "b", "Ana", "__NE3"]), max_size=12)))
+    entities = ["e0", "e1", "e2", "e3"]
+    mentions = []
+    pos = 0
+    for gap, length in draw(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=6)
+    ):
+        start = pos + gap
+        end = start + length
+        if end > len(tokens):
+            break
+        entity_id = draw(st.sampled_from(entities))
+        mentions.append(Mention(start, end, entity_id, " ".join(tokens[start:end])))
+        pos = end
+    binding = draw(
+        st.dictionaries(st.sampled_from(entities), st.sampled_from([placeholder(i) for i in range(4)]))
+    )
+    return tokens, mentions, binding
 
 
 FOUR_NAMES = LexiconTable(
@@ -72,6 +117,17 @@ class TestLoadLexicon:
         path.write_text("e1\ten\tYi||\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":1"):
             load_lexicon(path)
+
+    def test_byte_order_mark_keeps_first_entity_id(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes("\ufeffe1\ten\tAna\ne1\tde\tAnna\n".encode("utf-8"))
+        table = load_lexicon(path)
+        assert list(table.entities) == ["e1"]
+        src, tgt = ["Ana", "sings"], ["Anna", "singt"]
+        _, tgt_template = pair_templates(
+            src, find_mentions(src, "en", table), tgt, find_mentions(tgt, "de", table)
+        )
+        assert tgt_template == ("__NE0", "singt")
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -276,6 +332,30 @@ class TestProperties:
         assert names == [placeholder(i) for i in range(len(names))]
         seen = [token for token in tagged.template if is_placeholder(token)]
         assert list(dict.fromkeys(seen)) == names
+
+    @given(case=rendering_cases())
+    @settings(max_examples=300, derandomize=True)
+    def test_render_template_matches_token_by_token_oracle(self, case):
+        tokens, mentions, binding = case
+        assert render_template(tokens, mentions, binding) == oracle_render(tokens, mentions, binding)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=80, derandomize=True)
+    def test_tag_sentence_template_is_the_pair_source_side(self, seed):
+        rng = random.Random(seed)
+        table = make_entity_table(8, ["src", "tgt"], rng)
+        filler = make_filler_words(12, rng)
+        sides = {}
+        for lang in ("src", "tgt"):
+            tokens = rng.sample(filler, rng.randint(1, 5))
+            for entity_id in rng.sample(sorted(table.entities), rng.randint(0, 4)):
+                tokens.insert(rng.randint(0, len(tokens)), table.forms(entity_id, lang)[0])
+            sides[lang] = tokens
+        src, tgt = sides["src"], sides["tgt"]
+        src_template, _ = pair_templates(
+            src, find_mentions(src, "src", table), tgt, find_mentions(tgt, "tgt", table)
+        )
+        assert tag_sentence(src, "src", table).template == src_template
 
     def test_levenshtein_matches_oracle(self):
         rng = random.Random(3)

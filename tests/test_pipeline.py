@@ -1,4 +1,5 @@
 import random
+import shutil
 import tempfile
 from collections import Counter
 from dataclasses import fields
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import lowresmt.datagen
 import lowresmt.lexicon
 from helpers import make_entity_table, make_filler_words
+from lowresmt.cli import main
 from lowresmt.corpus import ParallelText, save_text
 from lowresmt.pipeline import _CONFIG_TYPES, PipelineConfig, load_corpora, run_pipeline
 
@@ -108,6 +110,27 @@ def test_one_mention_search_per_language_line(monkeypatch, tmp_path):
     }
     assert dict(calls) == expected
 
+
+def test_failed_rerun_leaves_no_manifest(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(FIXTURE_DIR, corpus_dir)
+    out_dir = tmp_path / "out"
+    command = ["pipeline", "--config", str(corpus_dir / "config.json"), "--out-dir", str(out_dir)]
+    assert main(command) == 0
+    assert (out_dir / "manifest.json").exists()
+    # a target line no family member has: stage 1 is rewritten, stage 2 fails
+    with (corpus_dir / "lrx.txt").open("a", encoding="utf-8") as handle:
+        handle.write("V999\tonly.lrx has.lrx this.lrx line.lrx\n")
+    assert main(command) == 1
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_config_with_byte_order_mark_loads(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(FIXTURE_DIR, corpus_dir)
+    path = corpus_dir / "config.json"
+    path.write_bytes("\ufeff".encode("utf-8") + path.read_bytes())
+    assert PipelineConfig.from_file(path).target == "lrx"
 
 
 def test_every_config_field_has_a_type_check():
