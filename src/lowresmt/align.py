@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import read_rows
+from .corpus import write_lines
 
 log = logging.getLogger(__name__)
 
@@ -235,28 +235,7 @@ def save_model(model: AlignmentModel, path: str | Path) -> None:
         row = model.ttable[s]
         for t in sorted(row):
             rows.append(f"{s}\t{t}\t{row[t]!r}")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
-def load_model(path: str | Path) -> AlignmentModel:
-    ttable: dict[str, dict[str, float]] = {}
-    p_null, epsilon, iterations = 0.08, 1e-9, 0
-    for number, fields in read_rows(path):
-        if fields[0] == "#p_null":
-            p_null = float(fields[1])
-        elif fields[0] == "#epsilon":
-            epsilon = float(fields[1])
-        elif fields[0] == "#iterations":
-            iterations = int(fields[1])
-        elif len(fields) == 3:
-            ttable.setdefault(fields[0], {})[fields[1]] = float(fields[2])
-        else:
-            raise ValueError(f"{path}:{number}: malformed model row")
-    if not ttable:
-        raise ValueError(f"{path}: no translation rows")
-    return AlignmentModel(
-        ttable=ttable, p_null=p_null, epsilon=epsilon, iterations=iterations
-    )
+    write_lines(path, rows)
 
 
 def save_statistics(stats: AlignmentStatistics, path: str | Path) -> None:
@@ -267,22 +246,4 @@ def save_statistics(stats: AlignmentStatistics, path: str | Path) -> None:
     for word in sorted(stats.words):
         w = stats.words[word]
         rows.append(f"{word}\t{w.n_obs}\t{w.p_fert1!r}\t{w.p_dist0!r}\t{w.p_joint!r}")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
-def load_statistics(path: str | Path) -> AlignmentStatistics:
-    words: dict[str, WordStatistics] = {}
-    lengths: dict[int, int] = {}
-    for number, fields in read_rows(path):
-        if fields[0] == "#source_length":
-            lengths[int(fields[1])] = int(fields[2])
-        elif len(fields) == 5:
-            words[fields[0]] = WordStatistics(
-                n_obs=int(fields[1]),
-                p_fert1=float(fields[2]),
-                p_dist0=float(fields[3]),
-                p_joint=float(fields[4]),
-            )
-        else:
-            raise ValueError(f"{path}:{number}: malformed statistics row")
-    return AlignmentStatistics(words=words, source_lengths=lengths)
+    write_lines(path, rows)

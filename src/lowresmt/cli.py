@@ -1,6 +1,6 @@
 """Command-line interface: one subcommand per pipeline operation.
 
-Subcommands: align, rank, tag, detag, gen, combine, score, pipeline.
+Subcommands: align, rank, tag, detag, gen, combine, score, pipeline, verify.
 Logs go to standard error; data goes to files (score prints its TSV to
 stdout unless redirected with --output).  Worker count and log level can
 also come from the LOWRESMT_WORKERS and LOWRESMT_LOG_LEVEL environment
@@ -18,9 +18,9 @@ from pathlib import Path
 from . import align as align_mod
 from . import combine as combine_mod
 from .bleu import corpus_bleu
-from .corpus import load_text, read_rows, save_text
+from .corpus import load_text, read_rows, save_text, write_lines
 from .lexicon import build_target_dictionary, detag, load_lexicon, tag_sentence
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline, verify_output
 from .rank import rank_languages, write_ranking, write_skips
 
 log = logging.getLogger("lowresmt")
@@ -85,12 +85,12 @@ def _cmd_tag(args) -> int:
     dict_rows = []
     for lid, tokens in text.lines.items():
         tagged = tag_sentence(tokens, args.language, table, args.edit_threshold)
-        template_rows.append(f"{lid}\t{' '.join(tagged.template)}\n")
+        template_rows.append(f"{lid}\t{' '.join(tagged.template)}")
         for name, (entity_id, surface) in tagged.source_dict.items():
-            dict_rows.append(f"{lid}\t{name}\t{entity_id}\t{surface}\n")
-    Path(args.output).write_text("".join(template_rows), encoding="utf-8")
+            dict_rows.append(f"{lid}\t{name}\t{entity_id}\t{surface}")
+    write_lines(args.output, template_rows)
     if args.dicts:
-        Path(args.dicts).write_text("".join(dict_rows), encoding="utf-8")
+        write_lines(args.dicts, dict_rows)
     log.info("tagged %d lines, %d entity mentions", len(text.lines), len(dict_rows))
     return 0
 
@@ -115,11 +115,10 @@ def _cmd_detag(args) -> int:
         target_dict = build_target_dictionary(dicts.get(lid, {}), args.language, table)
         decoded, missing = detag(tokens, target_dict)
         dropped.update(missing)
-        rows.append(f"{lid}\t{' '.join(decoded)}\n")
-    Path(args.output).write_text("".join(rows), encoding="utf-8")
+        rows.append(f"{lid}\t{' '.join(decoded)}")
+    write_lines(args.output, rows)
     if args.report:
-        report_rows = [f"{name}\t{count}\n" for name, count in sorted(dropped.items())]
-        Path(args.report).write_text("".join(report_rows), encoding="utf-8")
+        write_lines(args.report, (f"{name}\t{count}" for name, count in sorted(dropped.items())))
     if dropped:
         log.warning("dropped %d placeholder occurrence(s) without entries", sum(dropped.values()))
     return 0
@@ -166,7 +165,7 @@ def _cmd_score(args) -> int:
     )
     header = "#bleu\tp1\tp2\tp3\tp4\tbrevity_penalty"
     if args.output:
-        Path(args.output).write_text(header + "\n" + row + "\n", encoding="utf-8")
+        write_lines(args.output, [header, row])
     else:
         print(header)
         print(row)
@@ -178,6 +177,16 @@ def _cmd_pipeline(args) -> int:
     if args.workers is not None:
         config.workers = args.workers
     run_pipeline(config)
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    faults = verify_output(args.out_dir)
+    for fault in faults:
+        log.error("%s", fault)
+    if faults:
+        return 1
+    log.info("%s matches its manifest", args.out_dir)
     return 0
 
 
@@ -256,6 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="override the config's output directory")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(handler=_cmd_pipeline)
+
+    p = sub.add_parser("verify", help="re-check an output directory against its manifest")
+    p.add_argument("out_dir", help="directory a pipeline or gen run wrote")
+    p.set_defaults(handler=_cmd_verify)
 
     return parser
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .bleu import Tokens, sentence_bleu
-from .corpus import ParallelText
+from .corpus import ParallelText, write_lines
 
 
 @dataclass(frozen=True)
@@ -108,4 +108,4 @@ def write_combine_report(report: CombineReport, path: str | Path) -> None:
         f"{choice.line_id}\t{choice.chosen_language}\t{choice.centrality!r}"
         for choice in report.choices
     ]
-    Path(path).write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    write_lines(path, rows)

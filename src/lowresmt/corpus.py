@@ -1,4 +1,4 @@
-"""Loading, indexing, and splitting line-aligned multilingual text.
+"""Loading, indexing, splitting and writing line-aligned multilingual text.
 
 Corpora are keyed by opaque line ids so that verse keys like ``MRK_1_16``
 and plain line numbers share one code path.  Identical ids across
@@ -7,11 +7,17 @@ immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import math
+import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
+
+CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,58 @@ def read_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
             yield number, row.split("\t")
 
 
+class _HashingFile(io.FileIO):
+    """A file opened for writing that feeds each block it writes to a sha256."""
+
+    def __init__(self, path: Path) -> None:
+        super().__init__(path, "w")
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> int:
+        written = super().write(data)
+        self.sha256.update(memoryview(data)[:written])
+        return written
+
+
+@contextmanager
+def open_output(path: str | Path) -> Iterator[tuple[TextIO, "hashlib._Hash"]]:
+    """Write ``path`` atomically; yield a text stream and the sha256 of its bytes.
+
+    The stream writes UTF-8 with ``\\n`` line ends to ``<name>.tmp`` beside
+    ``path`` through a 64 KiB buffer, hashing each block as it reaches the
+    file; read ``hexdigest()`` after the block.  A clean exit renames the
+    temp file onto ``path`` (``os.replace``); an exception removes it and
+    leaves an earlier ``path`` as it was.  So a crashed process never leaves
+    a partial file under a final name; nothing is fsynced, so a power loss
+    can.  The file's mode is that of a plain ``open``.
+    """
+    path = Path(path)
+    temp = path.with_name(path.name + ".tmp")
+    raw = _HashingFile(temp)
+    try:
+        with io.TextIOWrapper(
+            io.BufferedWriter(raw, CHUNK_BYTES), encoding="utf-8", newline="\n"
+        ) as out:
+            yield out, raw.sha256
+        os.replace(temp, path)
+    except BaseException:
+        raw.close()
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> str:
+    """Write each line plus ``\\n`` through ``open_output``; return the sha256 hex digest."""
+    with open_output(path) as (out, digest):
+        out.writelines(f"{line}\n" for line in lines)
+    return digest.hexdigest()
+
+
 def save_text(text: ParallelText, path: str | Path) -> None:
     """Write ``ID<TAB>text`` rows; load_text round-trips the result."""
-    out = "".join(
-        f"{line_id}\t{' '.join(tokens)}\n" for line_id, tokens in text.lines.items()
+    write_lines(
+        path, (f"{line_id}\t{' '.join(tokens)}" for line_id, tokens in text.lines.items())
     )
-    Path(path).write_text(out, encoding="utf-8")
 
 
 def restrict(text: ParallelText, line_ids: Iterable[str]) -> ParallelText:

@@ -13,7 +13,10 @@ placeholders and tags are first-class vocabulary items; the shared
 vocabulary covers every token any stage writes.  Output order is
 pair-major then line-minor and writes are byte-deterministic: two runs
 over the same inputs produce identical files, which the manifest
-checksums pin down.
+checksums pin down.  Each split's two files are written in lockstep
+through ``corpus.open_output``: they reach their final names only when
+complete, and their checksums are those of the bytes as written, so no
+file is read back.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import ParallelText, SplitSpec, intersect, restrict
+from .corpus import ParallelText, SplitSpec, intersect, open_output, restrict, write_lines
 from .corpus import split as split_corpus
 from .lexicon import LexiconTable, Mention, find_mentions, pair_templates, placeholder
 
@@ -94,6 +97,7 @@ class StageSpec:
 
 
 def file_sha256(path: str | Path) -> str:
+    """sha256 hex digest of a file as it is on disk, read in 64 KiB chunks."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):
@@ -132,22 +136,27 @@ def _write_split(
     out_dir: Path,
     split_name: str,
     mentions: Mentions | None,
-) -> int:
+) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
-    src_path = out_dir / f"{split_name}.src"
-    tgt_path = out_dir / f"{split_name}.tgt"
+    src_name, tgt_name = f"{split_name}.src", f"{split_name}.tgt"
     with (
-        src_path.open("w", encoding="utf-8", newline="\n") as src_file,
-        tgt_path.open("w", encoding="utf-8", newline="\n") as tgt_file,
+        open_output(out_dir / src_name) as (src_file, src_digest),
+        open_output(out_dir / tgt_name) as (tgt_file, tgt_digest),
     ):
         for a, b in pairs:
             for src_line, tgt_line in _pair_lines(view, a, b, ids, mentions):
                 src_file.write(src_line + "\n")
                 tgt_file.write(tgt_line + "\n")
                 count += 1
-    return count
+    return {
+        "examples": count,
+        "src": src_name,
+        "tgt": tgt_name,
+        "src_sha256": src_digest.hexdigest(),
+        "tgt_sha256": tgt_digest.hexdigest(),
+    }
 
 
 def emit_complete(
@@ -157,8 +166,12 @@ def emit_complete(
     split_name: str = "train",
     *,
     mentions: Mentions | None = None,
-) -> int:
-    """Write every ordered language pair: k(k-1)*n examples."""
+) -> dict:
+    """Write every ordered language pair: k(k-1)*n examples.
+
+    Returns the split's manifest entry: ``examples``, ``src``, ``tgt``
+    and the two files' sha256s, taken from the bytes as written.
+    """
     if len(languages) < 2:
         raise ValueError("complete configuration needs at least two languages")
     ids = _check_view(languages, view)
@@ -174,8 +187,11 @@ def emit_star(
     split_name: str = "train",
     *,
     mentions: Mentions | None = None,
-) -> int:
-    """Write every source into the single target: |sources|*n examples."""
+) -> dict:
+    """Write every source into the single target: |sources|*n examples.
+
+    Returns the split's manifest entry, as ``emit_complete`` does.
+    """
     if not sources:
         raise ValueError("star configuration needs at least one source")
     if target in sources:
@@ -232,10 +248,9 @@ def build_vocab(
     return Vocabulary(tokens=tuple(ordered))
 
 
-def write_vocab(vocab: Vocabulary, path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(token + "\n" for token in vocab.tokens), encoding="utf-8"
-    )
+def write_vocab(vocab: Vocabulary, path: str | Path) -> str:
+    """Write one token per line; return the file's sha256."""
+    return write_lines(path, vocab.tokens)
 
 
 def find_view_mentions(
@@ -282,9 +297,9 @@ def emit_stage(
 
     Stage views only select line ids, so one ``mentions`` map over the
     full texts serves every stage.  The fragment records the
-    configuration, languages, per-split example counts and file
-    checksums; it contains nothing volatile, so repeated runs produce
-    identical manifests.
+    configuration, languages, per-split line and example counts and the
+    checksums the writer took of each file's bytes; it contains nothing
+    volatile, so repeated runs produce identical manifests.
     """
     for lang in (*spec.languages, spec.low_resource):
         if lang not in corpora:
@@ -305,7 +320,7 @@ def emit_stage(
         ids = list(part.lines)
         sub_view = {lang: restrict(text, ids) for lang, text in view.items()}
         if configuration == "star":
-            count = emit_star(
+            entry = emit_star(
                 list(spec.languages),
                 spec.low_resource,
                 sub_view,
@@ -314,17 +329,10 @@ def emit_stage(
                 mentions=mentions,
             )
         else:
-            count = emit_complete(
+            entry = emit_complete(
                 emit_languages, sub_view, spec.out_dir, name, mentions=mentions
             )
-        splits[name] = {
-            "examples": count,
-            "lines": len(ids),
-            "src": f"{name}.src",
-            "tgt": f"{name}.tgt",
-            "src_sha256": file_sha256(spec.out_dir / f"{name}.src"),
-            "tgt_sha256": file_sha256(spec.out_dir / f"{name}.tgt"),
-        }
+        splits[name] = {**entry, "lines": len(ids)}
     return {
         "stage": spec.stage,
         "configuration": configuration,

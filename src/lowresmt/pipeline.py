@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import logging
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import ParallelText, SplitSpec, load_text
+from .corpus import ParallelText, SplitSpec, load_text, write_lines
 from .datagen import (
     DirectionTag,
     Mentions,
@@ -238,22 +239,23 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     if config.target not in corpora:
         raise ValueError(f"target {config.target!r} has no corpus")
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    # a rerun that fails partway must not leave the last run's manifest behind
+    # a rerun that fails partway must leave neither the last run's manifest
+    # nor its files for the stages this run rewrites
     (config.out_dir / "manifest.json").unlink(missing_ok=True)
+    for stage in stages:
+        stage_dir = config.out_dir / f"stage{stage}"
+        if stage_dir.exists():
+            shutil.rmtree(stage_dir)
 
     family = resolve_family(config, corpora)
-    family_path = config.out_dir / "family.txt"
-    family_path.write_text(
-        "".join(code + "\n" for code in family.members), encoding="utf-8"
-    )
+    write_lines(config.out_dir / "family.txt", family.members)
 
     table = load_lexicon(config.lexicon) if config.lexicon is not None else None
     languages = (*family.members, config.target)
     view = {lang: corpora[lang] for lang in languages}
     mentions = find_view_mentions(view, table, config.edit_threshold)
     vocab = build_shared_vocab(config, corpora, family, mentions)
-    vocab_path = config.out_dir / "vocab.txt"
-    write_vocab(vocab, vocab_path)
+    vocab_sha256 = write_vocab(vocab, config.out_dir / "vocab.txt")
 
     manifest: dict = {
         "target": config.target,
@@ -266,7 +268,7 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         "vocab": {
             "file": "vocab.txt",
             "tokens": len(vocab),
-            "sha256": file_sha256(vocab_path),
+            "sha256": vocab_sha256,
         },
         "stages": {},
     }
@@ -281,7 +283,47 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         )
         log.info("emitting stage %d", stage)
         manifest["stages"][f"stage{stage}"] = emit_stage(spec, corpora, mentions)
-    (config.out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    write_lines(
+        config.out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)]
     )
     return manifest
+
+
+def verify_output(out_dir: str | Path) -> list[str]:
+    """Check a finished run's files against its manifest; return the faults found.
+
+    Re-hashes ``vocab.txt`` and every split file the manifest lists, and
+    checks that each ``.src``/``.tgt`` holds exactly ``examples`` lines.
+    Faults come in manifest order, each naming its file; an empty list
+    means every listed file is on disk as the run wrote it.
+    """
+    out_dir = Path(out_dir)
+    manifest_path = out_dir / "manifest.json"
+    if not manifest_path.is_file():
+        return [f"{manifest_path}: missing"]
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        expected = [(out_dir / manifest["vocab"]["file"], manifest["vocab"]["sha256"], None)]
+        for stage_name, stage in manifest["stages"].items():
+            for split in stage["splits"].values():
+                for side in ("src", "tgt"):
+                    expected.append((
+                        out_dir / stage_name / split[side],
+                        split[f"{side}_sha256"],
+                        split["examples"],
+                    ))
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
+        return [f"{manifest_path}: malformed manifest ({error!r})"]
+    faults = []
+    for path, sha256, examples in expected:
+        if not path.is_file():
+            faults.append(f"{path}: missing")
+            continue
+        if file_sha256(path) != sha256:
+            faults.append(f"{path}: sha256 differs from the manifest")
+        if examples is not None:
+            with open(path, "rb") as handle:
+                lines = sum(line.endswith(b"\n") for line in handle)
+            if lines != examples:
+                faults.append(f"{path}: {lines} lines, the manifest lists {examples} examples")
+    return faults

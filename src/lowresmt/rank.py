@@ -29,7 +29,7 @@ from .align import (
     train_alignment,
 )
 from .bleu import corpus_bleu
-from .corpus import ParallelText
+from .corpus import ParallelText, write_lines
 
 FAMD = "FAMD"
 FAMP = "FAMP"
@@ -209,9 +209,8 @@ def write_ranking(ranking: LanguageRanking, path: str | Path) -> None:
         f"{position}\t{entry.language}\t{entry.metric}\t{entry.value!r}"
         for position, entry in enumerate(ranking.entries, start=1)
     ]
-    Path(path).write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    write_lines(path, rows)
 
 
 def write_skips(skips: Sequence[RankSkip], path: str | Path) -> None:
-    rows = [f"{skip.language}\t{skip.reason}" for skip in skips]
-    Path(path).write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    write_lines(path, (f"{skip.language}\t{skip.reason}" for skip in skips))

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import random
 
-from lowresmt.corpus import ParallelText
+from lowresmt.align import WordStatistics
+from lowresmt.corpus import ParallelText, read_rows
 from lowresmt.lexicon import LexiconTable
 from lowresmt.synth import make_vocab
 
@@ -58,3 +59,30 @@ def entity_sentence(
 
 def parallel_from_lines(language: str, rows: list[tuple[str, list[str]]]) -> ParallelText:
     return ParallelText(language, {lid: tuple(tokens) for lid, tokens in rows})
+
+
+def read_model_rows(path) -> tuple[dict[str, str], dict[str, dict[str, float]]]:
+    """The ``#`` header values and the translation table of an ``align`` model file."""
+    headers: dict[str, str] = {}
+    ttable: dict[str, dict[str, float]] = {}
+    for _, fields in read_rows(path):
+        if fields[0].startswith("#"):
+            key, value = fields
+            headers[key] = value
+        else:
+            source, target, prob = fields
+            ttable.setdefault(source, {})[target] = float(prob)
+    return headers, ttable
+
+
+def read_statistics_rows(path) -> tuple[dict[int, int], dict[str, WordStatistics]]:
+    """The source length histogram and per-word rates of an ``align`` statistics file."""
+    lengths: dict[int, int] = {}
+    words: dict[str, WordStatistics] = {}
+    for _, fields in read_rows(path):
+        if fields[0] == "#source_length":
+            lengths[int(fields[1])] = int(fields[2])
+        else:
+            word, n_obs, p_fert1, p_dist0, p_joint = fields
+            words[word] = WordStatistics(int(n_obs), float(p_fert1), float(p_dist0), float(p_joint))
+    return lengths, words

@@ -160,11 +160,13 @@ def test_dataset_counts():
             import tempfile
 
             with tempfile.TemporaryDirectory() as tmp:
-                complete_first = emit_complete(languages, view, Path(tmp) / "a", "train")
+                complete_first = emit_complete(
+                    languages, view, Path(tmp) / "a", "train"
+                )["examples"]
                 emit_complete(languages, view, Path(tmp) / "b", "train")
                 star_first = emit_star(
                     languages[:-1], languages[-1], view, Path(tmp) / "c", "train"
-                )
+                )["examples"]
                 emit_star(languages[:-1], languages[-1], view, Path(tmp) / "d", "train")
                 identical = file_sha256(Path(tmp) / "a" / "train.src") == file_sha256(
                     Path(tmp) / "b" / "train.src"
@@ -305,9 +307,11 @@ def test_end_to_end_fixture(tmp_path):
     )
     elapsed = time.perf_counter() - start
     manifest = json.loads((tmp_path / "manifest.json").read_text())
+    verified = main(["verify", str(tmp_path)])
     report(
         "End-to-end fixture: pipeline on the bundled 6-language corpus"
-        " finishes < 60 s with manifest checksums equal to the golden copy",
-        code == 0 and elapsed < 60.0 and manifest == golden,
-        f"runtime {elapsed:.2f}s, family {manifest.get('family')}",
+        " finishes < 60 s with manifest checksums equal to the golden copy,"
+        " and verify finds its files as the manifest lists them",
+        code == 0 and elapsed < 60.0 and manifest == golden and verified == 0,
+        f"runtime {elapsed:.2f}s, family {manifest.get('family')}, verify exit {verified}",
     )

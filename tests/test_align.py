@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import read_model_rows, read_statistics_rows
 from lowresmt.align import (
     NULL_TOKEN,
     AlignmentModel,
     collect_statistics,
-    load_model,
-    load_statistics,
     save_model,
     save_statistics,
     train_alignment,
@@ -304,10 +303,13 @@ class TestSerialization:
         model = train_alignment(bitext, 3)
         path = tmp_path / "model.tsv"
         save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.p_null == model.p_null
-        assert loaded.iterations == model.iterations
-        assert loaded.ttable == model.ttable
+        headers, ttable = read_model_rows(path)
+        assert headers == {
+            "#p_null": repr(model.p_null),
+            "#epsilon": repr(model.epsilon),
+            "#iterations": str(model.iterations),
+        }
+        assert ttable == model.ttable
 
     def test_statistics_round_trip(self, tmp_path):
         bitext = self_bitext(n_lines=10, seed=5)
@@ -315,12 +317,6 @@ class TestSerialization:
         stats = collect_statistics(model, bitext)
         path = tmp_path / "stats.tsv"
         save_statistics(stats, path)
-        loaded = load_statistics(path)
-        assert loaded.words == stats.words
-        assert loaded.source_lengths == stats.source_lengths
-
-    def test_malformed_model_row(self, tmp_path):
-        path = tmp_path / "model.tsv"
-        path.write_text("a\tb\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="malformed"):
-            load_model(path)
+        lengths, words = read_statistics_rows(path)
+        assert words == stats.words
+        assert lengths == stats.source_lengths

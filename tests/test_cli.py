@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from lowresmt.align import load_model, load_statistics
+from helpers import read_model_rows, read_statistics_rows
+from lowresmt.align import collect_statistics, train_alignment
 from lowresmt.cli import main
 from lowresmt.corpus import load_text
 from lowresmt.datagen import file_sha256
@@ -67,9 +68,15 @@ class TestAlign:
             ]
         )
         assert code == 0
-        model = load_model(model_path)
-        assert model.iterations == 5
-        stats = load_statistics(stats_path)
+        source = load_text(small_corpus_dir / "aa.txt", "aa")
+        target = load_text(small_corpus_dir / "tt.txt", "tt")
+        bitext = [(source.lines[lid], target.lines[lid]) for lid in source.lines]
+        model = train_alignment(bitext, 5)
+        headers, ttable = read_model_rows(model_path)
+        assert headers["#iterations"] == "5"
+        assert ttable == model.ttable
+        stats = collect_statistics(model, bitext)
+        assert read_statistics_rows(stats_path) == (stats.source_lengths, stats.words)
         assert stats.words
 
 
@@ -322,6 +329,49 @@ class TestPipelineAndGen:
         assert str(config_path) in caplog.text
         assert f"config key {key!r} must be" in caplog.text
         assert not out_dir.exists()
+
+
+class TestVerify:
+    @pytest.fixture
+    def out_dir(self, tmp_path, small_corpus_dir):
+        config = pipeline_config(small_corpus_dir, tmp_path / "out", ["aa", "bb"])
+        assert main(["gen", "--config", str(write(tmp_path / "c.json", json.dumps(config)))]) == 0
+        return tmp_path / "out"
+
+    def test_finished_run_passes(self, out_dir):
+        assert main(["verify", str(out_dir)]) == 0
+
+    def test_truncated_split_fails_naming_it(self, out_dir, caplog):
+        path = out_dir / "stage1" / "train.src"
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        lines = path.read_bytes().count(b"\n")
+        assert main(["verify", str(out_dir)]) == 1
+        assert f"{path}: sha256 differs" in caplog.text
+        assert f"{path}: {lines} lines" in caplog.text
+
+    def test_deleted_vocab_fails_naming_it(self, out_dir, caplog):
+        (out_dir / "vocab.txt").unlink()
+        assert main(["verify", str(out_dir)]) == 1
+        assert f"{out_dir / 'vocab.txt'}: missing" in caplog.text
+
+    def test_example_count_is_checked_against_the_lines(self, out_dir, caplog):
+        manifest_path = out_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["stages"]["stage3"]["splits"]["val"]["examples"] += 1
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["verify", str(out_dir)]) == 1
+        assert f"{out_dir / 'stage3' / 'val.src'}: " in caplog.text
+        assert "sha256" not in caplog.text
+
+    @pytest.mark.parametrize("content", [None, "{", '{"vocab": {}}'])
+    def test_missing_or_malformed_manifest_fails(self, out_dir, caplog, content):
+        manifest_path = out_dir / "manifest.json"
+        if content is None:
+            manifest_path.unlink()
+        else:
+            manifest_path.write_text(content)
+        assert main(["verify", str(out_dir)]) == 1
+        assert str(manifest_path) in caplog.text
 
 
 class TestUsageErrors:

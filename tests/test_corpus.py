@@ -1,8 +1,13 @@
+import os
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowresmt.corpus import (
+    CHUNK_BYTES,
     ParallelText,
     SplitSpec,
     intersect,
@@ -10,7 +15,9 @@ from lowresmt.corpus import (
     restrict,
     save_text,
     split,
+    write_lines,
 )
+from lowresmt.datagen import file_sha256
 
 
 def write(tmp_path, name, content):
@@ -183,3 +190,39 @@ def test_restrict_missing_id_is_an_error():
     text = text_of("a", [("1", "x")])
     with pytest.raises(ValueError, match="lacks"):
         restrict(text, ["1", "2"])
+
+
+class TestWriteLines:
+    @given(
+        lines=st.lists(st.text(st.one_of(st.characters(), st.sampled_from("\r\n\ufeff")))),
+        repeat=st.sampled_from([1, 4000]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_and_digest_are_those_of_the_lines(self, lines, repeat):
+        # repeat carries most lists past several CHUNK_BYTES buffers
+        lines = lines * repeat
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.txt"
+            digest = write_lines(path, lines)
+            assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
+            assert digest == file_sha256(path)
+            assert os.listdir(tmp) == ["out.txt"]
+
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_lines(path, ["old"])
+
+        def lines():
+            yield "x" * (3 * CHUNK_BYTES)  # reaches the temp file before the failure
+            raise RuntimeError("killed halfway")
+
+        with pytest.raises(RuntimeError, match="halfway"):
+            write_lines(path, lines())
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_mode_is_that_of_a_plain_write(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x\n", encoding="utf-8")
+        write_lines(tmp_path / "written.txt", ["x"])
+        assert (tmp_path / "written.txt").stat().st_mode == plain.stat().st_mode

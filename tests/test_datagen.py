@@ -39,10 +39,17 @@ class TestDirectionTag:
 class TestEmitComplete:
     def test_count_formula(self, tmp_path):
         languages, view = make_view(3, 10)
-        count = emit_complete(languages, view, tmp_path, "train")
-        assert count == 3 * 2 * 10
+        entry = emit_complete(languages, view, tmp_path, "train")
+        assert entry["examples"] == 3 * 2 * 10
         assert len((tmp_path / "train.src").read_text().splitlines()) == 60
         assert len((tmp_path / "train.tgt").read_text().splitlines()) == 60
+        assert entry == {
+            "examples": 60,
+            "src": "train.src",
+            "tgt": "train.tgt",
+            "src_sha256": file_sha256(tmp_path / "train.src"),
+            "tgt_sha256": file_sha256(tmp_path / "train.tgt"),
+        }
 
     def test_two_languages_gives_both_directions(self, tmp_path):
         languages, view = make_view(2, 1)
@@ -53,7 +60,7 @@ class TestEmitComplete:
 
     def test_stage_two_shape(self, tmp_path):
         languages, view = make_view(11, 3)
-        count = emit_complete(languages, view, tmp_path, "train")
+        count = emit_complete(languages, view, tmp_path, "train")["examples"]
         assert count == 11 * 10 * 3
 
     def test_missing_language_is_an_error(self, tmp_path):
@@ -88,12 +95,12 @@ class TestEmitComplete:
 class TestEmitStar:
     def test_count_is_linear(self, tmp_path):
         languages, view = make_view(11, 1038)
-        count = emit_star(languages[:10], languages[10], view, tmp_path, "train")
+        count = emit_star(languages[:10], languages[10], view, tmp_path, "train")["examples"]
         assert count == 10 * 1038
 
     def test_single_source_is_plain_tagged_bitext(self, tmp_path):
         languages, view = make_view(2, 3)
-        count = emit_star(["l0"], "l1", view, tmp_path, "train")
+        count = emit_star(["l0"], "l1", view, tmp_path, "train")["examples"]
         assert count == 3
         src = (tmp_path / "train.src").read_text().splitlines()
         assert all(row.startswith("__opt_src_l0 __opt_tgt_l1 ") for row in src)

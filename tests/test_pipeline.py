@@ -5,6 +5,7 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,11 +119,37 @@ def test_failed_rerun_leaves_no_manifest(tmp_path):
     command = ["pipeline", "--config", str(corpus_dir / "config.json"), "--out-dir", str(out_dir)]
     assert main(command) == 0
     assert (out_dir / "manifest.json").exists()
+    first_run = sorted((out_dir / "stage2").iterdir()) + sorted((out_dir / "stage3").iterdir())
+    assert first_run
     # a target line no family member has: stage 1 is rewritten, stage 2 fails
     with (corpus_dir / "lrx.txt").open("a", encoding="utf-8") as handle:
         handle.write("V999\tonly.lrx has.lrx this.lrx line.lrx\n")
     assert main(command) == 1
     assert not (out_dir / "manifest.json").exists()
+    assert [path for path in first_run if path.exists()] == []
+
+
+def test_crash_midway_through_stage1_leaves_no_partial_file(monkeypatch, tmp_path):
+    pair_templates = lowresmt.datagen.pair_templates
+    calls = 0
+    pending_bytes = []
+
+    def crashing(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 2000:
+            pending_bytes.append(sum(path.stat().st_size for path in tmp_path.rglob("*.tmp")))
+            raise RuntimeError("killed halfway")
+        return pair_templates(*args)
+
+    monkeypatch.setattr(lowresmt.datagen, "pair_templates", crashing)
+    config = PipelineConfig.from_file(FIXTURE_DIR / "config.json", out_dir=tmp_path)
+    with pytest.raises(RuntimeError, match="halfway"):
+        run_pipeline(config)
+    assert pending_bytes[0] > 0  # the split's temp files held part of it on disk
+    assert list(tmp_path.glob("stage1/*.src")) + list(tmp_path.glob("stage1/*.tgt")) == []
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_config_with_byte_order_mark_loads(tmp_path):
