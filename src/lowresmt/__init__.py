@@ -15,7 +15,7 @@ from .align import (
 )
 from .bleu import BleuScore, corpus_bleu, sentence_bleu
 from .combine import combine_corpus, select_center, similarity
-from .corpus import ParallelText, SplitSpec, intersect, load_text, save_text, split
+from .corpus import ParallelText, SplitSpec, intersect, load_candidates, load_text, save_text, split
 from .datagen import (
     DirectionTag,
     StageSpec,

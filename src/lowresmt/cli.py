@@ -18,7 +18,7 @@ from pathlib import Path
 from . import align as align_mod
 from . import combine as combine_mod
 from .bleu import corpus_bleu
-from .corpus import load_text, read_rows, save_text, write_lines
+from .corpus import load_candidates, load_text, read_rows, save_text, write_lines
 from .lexicon import build_target_dictionary, detag, load_lexicon, tag_sentence
 from .pipeline import PipelineConfig, run_pipeline, verify_output
 from .rank import rank_languages, write_ranking, write_skips
@@ -56,16 +56,9 @@ def _cmd_align(args) -> int:
 def _cmd_rank(args) -> int:
     target_path = Path(args.target)
     target = load_text(target_path, target_path.stem)
-    candidates = []
-    for path in sorted(Path(args.candidates).glob("*.txt")):
-        if path.stem == target.language:
-            continue
-        candidates.append(load_text(path, path.stem))
-    if not candidates:
-        raise ValueError(f"no candidate corpora in {args.candidates}")
     ranking, skips = rank_languages(
         target,
-        candidates,
+        load_candidates(args.candidates, target),
         args.metric,
         min_shared_lines=args.min_lines,
         iterations=args.iterations,

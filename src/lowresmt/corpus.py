@@ -12,6 +12,7 @@ import io
 import math
 import os
 import random
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +55,13 @@ class SplitSpec:
         names = [name for name, _ in self.ratios]
         if not names:
             raise ValueError("split spec needs at least one ratio")
+        for name in names:
+            # a split name becomes <name>.src and <name>.tgt in a stage directory
+            if name.startswith(".") or any(c in name for c in "/\\") or name.split() != [name]:
+                raise ValueError(
+                    f"split name {name!r} must be a plain file name: non-empty, not"
+                    " starting with '.', without '/', '\\' or whitespace"
+                )
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate split names: {names}")
         if any(not 0.0 <= fraction <= 1.0 for _, fraction in self.ratios):
@@ -70,7 +78,9 @@ def load_text(path: str | Path, language: str) -> ParallelText:
 
     Bare files get zero-based line indexes as ids.  A leading UTF-8 byte
     order mark is skipped, so it never becomes part of the first id.
-    Tokenization is a plain split on Unicode whitespace.
+    Tokenization is a plain split on Unicode whitespace, and every token
+    is interned (``sys.intern``): equal tokens are one object, so a text
+    costs a pointer per token plus one string per word type.
     """
     path = Path(path)
     raw = path.read_text(encoding="utf-8-sig").splitlines()
@@ -85,13 +95,30 @@ def load_text(path: str | Path, language: str) -> ParallelText:
                 raise ValueError(f"{path}:{index + 1}: expected ID<TAB>text")
         else:
             line_id, text = str(index), row
-        tokens = tuple(text.split())
+        tokens = tuple(map(sys.intern, text.split()))
         if not tokens:
             raise ValueError(f"{path}:{index + 1}: blank line")
         if line_id in lines:
             raise ValueError(f"{path}: duplicate line id {line_id!r}")
         lines[line_id] = tokens
     return ParallelText(language=language, lines=lines)
+
+
+def load_candidates(corpus_dir: str | Path, target: ParallelText) -> list[ParallelText]:
+    """Load every ``<code>.txt`` in ``corpus_dir`` but the target's, as ranking candidates.
+
+    Files load one at a time in name order, each cut at once to the line ids
+    it shares with ``target`` (in its own order): one full text is held at a time.
+    """
+    candidates = []
+    for path in sorted(Path(corpus_dir).glob("*.txt")):
+        if path.stem == target.language:
+            continue
+        text = load_text(path, path.stem)
+        candidates.append(restrict(text, [lid for lid in text.lines if lid in target.lines]))
+    if not candidates:
+        raise ValueError(f"no candidate corpora in {corpus_dir}")
+    return candidates
 
 
 def read_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:

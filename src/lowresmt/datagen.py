@@ -38,6 +38,12 @@ View = Mapping[str, ParallelText]
 Mentions = Mapping[str, Mapping[str, Sequence[Mention]]]
 
 
+def check_language_code(code: str) -> None:
+    """Reject a code that would not stay one token inside a direction tag."""
+    if code.split() != [code]:
+        raise ValueError(f"language code {code!r} must be non-empty and hold no whitespace")
+
+
 @dataclass(frozen=True)
 class DirectionTag:
     """Source/target language pair rendered as two leading tag tokens."""
@@ -46,6 +52,8 @@ class DirectionTag:
     tgt: str
 
     def __post_init__(self) -> None:
+        check_language_code(self.src)
+        check_language_code(self.tgt)
         if self.src == self.tgt:
             raise ValueError(f"direction tag with identical codes: {self.src!r}")
 

@@ -13,13 +13,14 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import ParallelText, SplitSpec, load_text, write_lines
+from .corpus import ParallelText, SplitSpec, load_candidates, load_text, write_lines
 from .datagen import (
     DirectionTag,
     Mentions,
     StageSpec,
     Vocabulary,
     build_vocab,
+    check_language_code,
     emit_stage,
     file_sha256,
     find_view_mentions,
@@ -41,6 +42,11 @@ log = logging.getLogger(__name__)
 
 STAGE1_RATIOS = (("train", 0.8), ("val", 0.1), ("test", 0.1))
 STAGE2_RATIOS = (("train", 0.95), ("val", 0.05))
+# every name a run writes in out_dir
+OUTPUT_NAMES = (
+    "manifest.json", "family.txt", "vocab.txt", "ranking.tsv", "skips.tsv",
+    "stage1", "stage2", "stage3",
+)
 
 
 @dataclass
@@ -108,12 +114,16 @@ class PipelineConfig:
             raise ValueError("edit_threshold must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        check_language_code(self.target)
         if isinstance(self.family, str):
             if self.family.upper() not in METRICS:
                 raise ValueError(
                     f"family must be one of {[m.lower() for m in METRICS]}"
                     " or an explicit list of language codes"
                 )
+            # every corpus but the target's is a candidate, and may join the family
+            for path in self.corpus_dir.glob("*.txt"):
+                check_language_code(path.stem)
         else:
             if not self.family:
                 raise ValueError("explicit family must name at least one language")
@@ -122,6 +132,7 @@ class PipelineConfig:
             if self.target in self.family:
                 raise ValueError("explicit family must not contain the target")
             for code in self.family:
+                check_language_code(code)
                 if not (self.corpus_dir / f"{code}.txt").is_file():
                     raise ValueError(f"family corpus not found: {code}.txt")
         # exercise ratio validation early
@@ -154,30 +165,13 @@ _CONFIG_TYPES = {
 }
 
 
-def load_corpora(corpus_dir: str | Path) -> dict[str, ParallelText]:
-    """Load every <code>.txt in the directory, keyed by language code."""
-    corpus_dir = Path(corpus_dir)
-    corpora: dict[str, ParallelText] = {}
-    for path in sorted(corpus_dir.glob("*.txt")):
-        corpora[path.stem] = load_text(path, path.stem)
-    if not corpora:
-        raise ValueError(f"no *.txt corpora in {corpus_dir}")
-    return corpora
-
-
-def resolve_family(
-    config: PipelineConfig, corpora: dict[str, ParallelText]
-) -> FamilyOfChoice:
+def resolve_family(config: PipelineConfig, target_text: ParallelText) -> FamilyOfChoice:
     """Rank candidates if the config names a metric, else take the list as is."""
     if not isinstance(config.family, str):
-        missing = [code for code in config.family if code not in corpora]
-        if missing:
-            raise ValueError(f"family language(s) without corpora: {', '.join(missing)}")
         return FamilyOfChoice(
             target=config.target, members=tuple(config.family), provenance=FAMO_PLUS
         )
-    target_text = corpora[config.target]
-    candidates = [corpora[lang] for lang in corpora if lang != config.target]
+    candidates = load_candidates(config.corpus_dir, target_text)
     log.info("ranking %d candidates by %s", len(candidates), config.family.upper())
     ranking, skips = rank_languages(
         target_text,
@@ -187,7 +181,6 @@ def resolve_family(
         iterations=config.iterations,
         workers=config.workers,
     )
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     write_ranking(ranking, config.out_dir / "ranking.tsv")
     write_skips(skips, config.out_dir / "skips.tsv")
     return select_family(ranking, config.target, config.k)
@@ -226,6 +219,8 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     """Rank, select the family, and emit the requested stages.
 
     Stage 1 needs a family of at least two; that fails before any work.
+    Besides the candidates that ranking reads, only the target's and the
+    family's corpora are loaded.
 
     Returns the manifest written to out_dir/manifest.json.  The manifest
     carries no timestamps or absolute paths, so reruns are comparable
@@ -235,25 +230,23 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         size = config.k if isinstance(config.family, str) else len(config.family)
         if size < 2:
             raise ValueError(f"stage 1 needs a family of at least two languages, got {size}")
-    corpora = load_corpora(config.corpus_dir)
-    if config.target not in corpora:
-        raise ValueError(f"target {config.target!r} has no corpus")
+    target_text = load_text(config.corpus_dir / f"{config.target}.txt", config.target)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    # a rerun that fails partway must leave neither the last run's manifest
-    # nor its files for the stages this run rewrites
-    (config.out_dir / "manifest.json").unlink(missing_ok=True)
-    for stage in stages:
-        stage_dir = config.out_dir / f"stage{stage}"
-        if stage_dir.exists():
-            shutil.rmtree(stage_dir)
+    # no file of an earlier run may stay beside this run's, finished or not
+    for name in OUTPUT_NAMES:
+        path = config.out_dir / name
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
 
-    family = resolve_family(config, corpora)
+    family = resolve_family(config, target_text)
     write_lines(config.out_dir / "family.txt", family.members)
+    corpora = {lang: load_text(config.corpus_dir / f"{lang}.txt", lang) for lang in family.members}
+    corpora[config.target] = target_text
 
     table = load_lexicon(config.lexicon) if config.lexicon is not None else None
-    languages = (*family.members, config.target)
-    view = {lang: corpora[lang] for lang in languages}
-    mentions = find_view_mentions(view, table, config.edit_threshold)
+    mentions = find_view_mentions(corpora, table, config.edit_threshold)
     vocab = build_shared_vocab(config, corpora, family, mentions)
     vocab_sha256 = write_vocab(vocab, config.out_dir / "vocab.txt")
 

@@ -1,5 +1,7 @@
+import gc
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from lowresmt.corpus import (
     ParallelText,
     SplitSpec,
     intersect,
+    load_candidates,
     load_text,
     restrict,
     save_text,
@@ -81,6 +84,65 @@ class TestLoadText:
         copy = tmp_path / "b.txt"
         save_text(text, copy)
         assert copy.read_bytes() == original.read_bytes()
+
+    def test_equal_tokens_are_one_object(self, tmp_path):
+        path = write(tmp_path, "x.txt", "V0\tshepherd flock shepherd\nV1\tflock shepherd\n")
+        text = load_text(path, "en")
+        first, second = text.lines["V0"], text.lines["V1"]
+        assert first[0] is first[2] is second[1]
+        assert first[1] is second[0]
+
+    def test_repeated_tokens_cost_at_most_half_of_a_plain_load(self, tmp_path):
+        words = [f"word{i:04d}" for i in range(60)]
+        rows = [
+            f"V{n}\t{' '.join(words[(n * 7 + k) % 60] for k in range(20))}" for n in range(2000)
+        ]
+        path = write(tmp_path, "x.txt", "\n".join(rows) + "\n")
+
+        def plain_load():  # the oracle: load_text without interning
+            lines = {}
+            for row in path.read_text(encoding="utf-8").splitlines():
+                line_id, _, text = row.partition("\t")
+                lines[line_id] = tuple(text.split())
+            return lines
+
+        def retained_bytes(load):
+            gc.collect()
+            tracemalloc.start()
+            kept = load()
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            del kept
+            return size
+
+        plain = retained_bytes(plain_load)
+        interned = retained_bytes(lambda: load_text(path, "en"))
+        assert interned <= plain / 2, (interned, plain)
+
+
+class TestLoadCandidates:
+    def test_every_other_corpus_cut_to_the_target_ids_in_file_order(self, tmp_path):
+        target = load_text(write(tmp_path, "lr.txt", "V1\tx\nV2\ty\nV3\tz\n"), "lr")
+        write(tmp_path, "bb.txt", "V3\tc\nV9\tq\nV1\ta\n")
+        write(tmp_path, "aa.txt", "V2\tb\nV1\ta\n")
+        write(tmp_path, "notes.md", "not a corpus\n")
+        candidates = load_candidates(tmp_path, target)
+        assert [(c.language, list(c.lines.items())) for c in candidates] == [
+            ("aa", [("V2", ("b",)), ("V1", ("a",))]),
+            ("bb", [("V3", ("c",)), ("V1", ("a",))]),
+        ]
+
+    def test_a_malformed_candidate_fails(self, tmp_path):
+        target = load_text(write(tmp_path, "lr.txt", "V1\tx\n"), "lr")
+        write(tmp_path, "aa.txt", "V1\ta\nV1\tb\n")
+        with pytest.raises(ValueError, match="duplicate line id"):
+            load_candidates(tmp_path, target)
+
+    def test_no_candidate_is_an_error(self, tmp_path):
+        target = load_text(write(tmp_path, "lr.txt", "V1\tx\n"), "lr")
+        with pytest.raises(ValueError, match="no candidate corpora"):
+            load_candidates(tmp_path, target)
 
 
 class TestIntersect:
@@ -185,6 +247,11 @@ class TestSplit:
         with pytest.raises(ValueError, match="mode"):
             SplitSpec((("a", 1.0),), mode="random")
 
+    @pytest.mark.parametrize("name", ["", ".hidden", "..", "a/b", "a\\b", "a b", "tab\t"])
+    def test_split_name_must_be_a_plain_file_name(self, name):
+        with pytest.raises(ValueError, match="plain file name"):
+            SplitSpec(((name, 0.5), ("rest", 0.5)))
+
 
 def test_restrict_missing_id_is_an_error():
     text = text_of("a", [("1", "x")])
@@ -203,8 +270,15 @@ class TestWriteLines:
         lines = lines * repeat
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "out.txt"
+            try:
+                expected = "".join(line + "\n" for line in lines).encode()
+            except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+                with pytest.raises(UnicodeEncodeError):
+                    write_lines(path, lines)
+                assert os.listdir(tmp) == []
+                return
             digest = write_lines(path, lines)
-            assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
+            assert path.read_bytes() == expected
             assert digest == file_sha256(path)
             assert os.listdir(tmp) == ["out.txt"]
 

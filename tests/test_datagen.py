@@ -35,6 +35,11 @@ class TestDirectionTag:
         with pytest.raises(ValueError, match="identical"):
             DirectionTag("en", "en")
 
+    @pytest.mark.parametrize("src, tgt", [("", "en"), ("en", "b b"), ("en\n", "de")])
+    def test_empty_or_whitespace_code_rejected(self, src, tgt):
+        with pytest.raises(ValueError, match="no whitespace"):
+            DirectionTag(src, tgt)
+
 
 class TestEmitComplete:
     def test_count_formula(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 import shutil
 import tempfile
@@ -13,8 +14,8 @@ import lowresmt.datagen
 import lowresmt.lexicon
 from helpers import make_entity_table, make_filler_words
 from lowresmt.cli import main
-from lowresmt.corpus import ParallelText, save_text
-from lowresmt.pipeline import _CONFIG_TYPES, PipelineConfig, load_corpora, run_pipeline
+from lowresmt.corpus import ParallelText, load_text, save_text
+from lowresmt.pipeline import _CONFIG_TYPES, PipelineConfig, run_pipeline
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "e2e"
 FAMILY = ("fa", "fb", "fc")
@@ -105,9 +106,9 @@ def test_one_mention_search_per_language_line(monkeypatch, tmp_path):
     monkeypatch.setattr(lowresmt.lexicon, "find_mentions", counting)
     config = PipelineConfig.from_file(FIXTURE_DIR / "config.json", out_dir=tmp_path)
     manifest = run_pipeline(config)
-    corpora = load_corpora(config.corpus_dir)
     expected = {
-        lang: len(corpora[lang]) for lang in [*manifest["family"], config.target]
+        lang: len(load_text(config.corpus_dir / f"{lang}.txt", lang))
+        for lang in [*manifest["family"], config.target]
     }
     assert dict(calls) == expected
 
@@ -162,3 +163,79 @@ def test_config_with_byte_order_mark_loads(tmp_path):
 
 def test_every_config_field_has_a_type_check():
     assert set(_CONFIG_TYPES) == {field.name for field in fields(PipelineConfig)}
+
+
+def fixture_copy(tmp_path, **changes):
+    """The bundled fixture copied to tmp_path/corpus, its config.json updated with ``changes``."""
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(FIXTURE_DIR, corpus_dir)
+    config_path = corpus_dir / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config.update(changes)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    return corpus_dir
+
+
+def run_cli(command, corpus_dir, out_dir, *flags):
+    return main([command, "--config", str(corpus_dir / "config.json"), "--out-dir", str(out_dir),
+                 *flags])
+
+
+MALFORMED_CORPUS = "V001\tone line\nV001\tthe same id again\n"
+
+
+def test_a_run_removes_every_output_of_an_earlier_run(tmp_path):
+    out_dir = tmp_path / "out"
+    assert run_cli("pipeline", fixture_copy(tmp_path / "ranked"), out_dir) == 0
+    assert (out_dir / "stage1").is_dir() and (out_dir / "ranking.tsv").is_file()
+    corpus_dir = fixture_copy(tmp_path / "listed", family=["aaa", "bbb", "ccc"])
+    assert run_cli("gen", corpus_dir, out_dir, "--stage", "2") == 0
+    assert sorted(path.name for path in out_dir.iterdir()) == [
+        "family.txt", "manifest.json", "stage2", "vocab.txt"
+    ]
+    assert (out_dir / "family.txt").read_text(encoding="utf-8") == "aaa\nbbb\nccc\n"
+    assert main(["verify", str(out_dir)]) == 0
+
+
+def test_explicit_family_reads_no_unrelated_corpus(tmp_path):
+    golden = json.loads((FIXTURE_DIR / "golden_manifest.json").read_text(encoding="utf-8"))
+    corpus_dir = fixture_copy(tmp_path, family=golden["family"])
+    (corpus_dir / "zzz.txt").write_text(MALFORMED_CORPUS, encoding="utf-8")
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest == {**golden, "provenance": "FAMO+"}
+
+
+def test_malformed_candidate_fails_before_ranking(tmp_path, caplog):
+    corpus_dir = fixture_copy(tmp_path)
+    (corpus_dir / "zzz.txt").write_text(MALFORMED_CORPUS, encoding="utf-8")
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
+    assert "duplicate line id" in caplog.text
+    assert not (tmp_path / "out" / "ranking.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "changes, corpus_file",
+    [
+        ({"family": ["aaa", "b b"]}, "b b.txt"),
+        ({"family": "famp"}, "b b.txt"),
+        ({"family": ["aaa", "bbb"], "target": "l x"}, "l x.txt"),
+        ({"family": ["aaa", ""]}, ".txt"),
+    ],
+    ids=["family member", "candidate", "target", "empty member"],
+)
+def test_language_code_with_whitespace_fails_before_any_work(
+    tmp_path, caplog, changes, corpus_file
+):
+    corpus_dir = fixture_copy(tmp_path, **changes)
+    shutil.copy(corpus_dir / "bbb.txt", corpus_dir / corpus_file)
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
+    assert "must be non-empty and hold no whitespace" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_split_name_that_is_no_file_name_fails_before_any_work(tmp_path, caplog):
+    corpus_dir = fixture_copy(tmp_path, stage1_ratios=[["a/b", 0.2], ["train", 0.8]])
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
+    assert "'a/b' must be a plain file name" in caplog.text
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,7 @@ from lowresmt.align import (
     collect_statistics,
     train_alignment,
 )
-from lowresmt.corpus import ParallelText
+from lowresmt.corpus import ParallelText, load_candidates, load_text
 from lowresmt.rank import (
     FamilyOfChoice,
     LanguageRanking,
@@ -302,3 +303,25 @@ class TestSelectFamily:
         with pytest.raises(ValueError, match="duplicate"):
             FamilyOfChoice(target="x", members=("y", "y"), provenance="FAMD")
 
+
+
+@pytest.mark.parametrize("metric", ["famd", "famp"])
+def test_cut_candidates_rank_as_full_ones(metric):
+    corpus_dir = Path(__file__).parent / "fixtures" / "e2e"
+    target = load_text(corpus_dir / "lrx.txt", "lrx")
+    full = [
+        load_text(path, path.stem)
+        for path in sorted(corpus_dir.glob("*.txt")) if path.stem != "lrx"
+    ]
+    cut = load_candidates(corpus_dir, target)
+    assert [c.language for c in cut] == [c.language for c in full]
+    assert all(len(c) < len(f) for c, f in zip(cut, full))
+    scored = [rank_languages(target, texts, metric, iterations=3) for texts in (cut, full)]
+    assert scored[0] == scored[1]
+    assert len(scored[0][0].entries) == len(full)
+    skipped = [
+        rank_languages(target, texts, metric, min_shared_lines=len(target) + 1)
+        for texts in (cut, full)
+    ]
+    assert skipped[0] == skipped[1]
+    assert len(skipped[0][1]) == len(full)
