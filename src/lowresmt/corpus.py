@@ -78,17 +78,17 @@ def load_text(path: str | Path, language: str) -> ParallelText:
 
     Bare files get zero-based line indexes as ids.  A leading UTF-8 byte
     order mark is skipped, so it never becomes part of the first id.
+    Lines end only at ``\n``, ``\r\n`` or ``\r`` (see ``_read_lines``).
     Tokenization is a plain split on Unicode whitespace, and every token
     is interned (``sys.intern``): equal tokens are one object, so a text
     costs a pointer per token plus one string per word type.
     """
     path = Path(path)
-    raw = path.read_text(encoding="utf-8-sig").splitlines()
-    if not raw:
-        raise ValueError(f"empty corpus file: {path}")
-    id_format = "\t" in raw[0]
     lines: dict[str, tuple[str, ...]] = {}
-    for index, row in enumerate(raw):
+    id_format = None
+    for index, row in enumerate(_read_lines(path)):
+        if id_format is None:
+            id_format = "\t" in row
         if id_format:
             line_id, sep, text = row.partition("\t")
             if not sep:
@@ -101,6 +101,8 @@ def load_text(path: str | Path, language: str) -> ParallelText:
         if line_id in lines:
             raise ValueError(f"{path}: duplicate line id {line_id!r}")
         lines[line_id] = tokens
+    if not lines:
+        raise ValueError(f"empty corpus file: {path}")
     return ParallelText(language=language, lines=lines)
 
 
@@ -121,13 +123,25 @@ def load_candidates(corpus_dir: str | Path, target: ParallelText) -> list[Parall
     return candidates
 
 
+def _read_lines(path: str | Path) -> Iterator[str]:
+    """Stream a UTF-8 file's lines without their line ends, one at a time.
+
+    Decodes ``utf-8-sig``, so a leading byte order mark is skipped.  Only
+    ``\n``, ``\r\n`` and ``\r`` end a line: unlike ``str.splitlines``,
+    a form feed, ``\x1c``-``\x1e``, ``\x85``, U+2028 or U+2029 stays
+    inside its line, where a whitespace split treats it as a token gap.
+    """
+    with open(path, encoding="utf-8-sig") as handle:  # universal newlines: each end -> "\n"
+        for line in handle:
+            yield line.removesuffix("\n")
+
+
 def read_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based line number, tab-separated fields) of each non-blank table row.
 
-    Decodes ``utf-8-sig``, so a leading byte order mark is skipped.
+    Lines are streamed and split as ``_read_lines`` does.
     """
-    rows = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    for number, row in enumerate(rows, start=1):
+    for number, row in enumerate(_read_lines(path), start=1):
         if row.strip():
             yield number, row.split("\t")
 

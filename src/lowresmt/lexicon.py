@@ -5,9 +5,17 @@ before translation and restored from a per-sentence target dictionary
 afterwards, so bindings like who-calls-whom survive a reordering
 translator.  Tagging is dictionary lookup first (longest match wins,
 multi-token surfaces allowed), then a small-edit-distance fallback for
-single tokens.  Decoding is deliberately forgiving because model output
-is untrusted: placeholders without a dictionary entry are dropped and
-counted rather than raised on.
+single tokens.  The fallback looks a token up in a symmetric-delete
+index (as in SymSpell): every string reachable from a casefolded
+single-token form by at most ``edit_threshold`` deletions maps to that
+form, so a query looks up its own deletions and checks only the forms
+they hit with the capped ``levenshtein``.  At depth 2 a form of length L
+costs about 1 + L + L(L-1)/2 index keys, built once per language and
+threshold; a query costs about as many lookups for its own length plus
+one check per hit, instead of one check per form of the language.
+Decoding is deliberately forgiving because model output is untrusted:
+placeholders without a dictionary entry are dropped and counted rather
+than raised on.
 """
 from __future__ import annotations
 
@@ -67,6 +75,7 @@ class LexiconTable:
         self.entities = entities
         self._exact: dict[str, dict[str, list[tuple[tuple[str, ...], str]]]] = {}
         self._fuzzy: dict[str, list[tuple[str, str, str]]] = {}
+        self._deletes: dict[tuple[str, int], dict[str, list[int]]] = {}
         self._fuzzy_cache: dict[tuple[str, str, int], str | None] = {}
 
     def __len__(self) -> int:
@@ -91,6 +100,34 @@ class LexiconTable:
             self._exact[language] = exact
             self._fuzzy[language] = fuzzy
         return self._exact[language], self._fuzzy[language]
+
+    def deletes(self, language: str, edit_threshold: int) -> dict[str, list[int]]:
+        """The symmetric-delete index of one language's single-token forms.
+
+        Maps each string reachable from a casefolded form by at most
+        ``edit_threshold`` deletions to the ascending positions of the
+        forms that reach it in the fuzzy index.
+        """
+        key = (language, edit_threshold)
+        if key not in self._deletes:
+            index: dict[str, list[int]] = {}
+            for position, (form_cf, _, _) in enumerate(self.indexes(language)[1]):
+                for variant in _deletions(form_cf, edit_threshold):
+                    index.setdefault(variant, []).append(position)
+            self._deletes[key] = index
+        return self._deletes[key]
+
+
+def _deletions(word: str, depth: int) -> set[str]:
+    """``word`` and every string reachable from it by at most ``depth`` deletions."""
+    found = {word}
+    frontier = {word}
+    for _ in range(depth):
+        frontier = {
+            variant[:i] + variant[i + 1 :] for variant in frontier for i in range(len(variant))
+        }
+        found |= frontier
+    return found
 
 
 def load_lexicon(path: str | Path) -> LexiconTable:
@@ -145,7 +182,16 @@ def find_mentions(
     At each position the longest exact surface match wins (ties by
     entity id); only if nothing matches exactly is the single token
     tried against single-token forms at Levenshtein distance at most
-    min(edit_threshold, ceil(len/3)), case-insensitively.
+    min(edit_threshold, ceil(len/3)), case-insensitively, ties broken
+    by (distance, entity id, form).
+
+    The fallback is exact but indexed: a form within distance d of the
+    token shares with it a string reachable from both by at most d
+    deletions, so only forms under one of the token's deletions in
+    ``LexiconTable.deletes`` are checked with ``levenshtein``.  The first
+    fuzzy query of a language builds that index (about 1 + L + L(L-1)/2
+    keys per form of length L at threshold 2); results are memoized
+    per token.
     """
     exact, fuzzy = table.indexes(language)
     mentions: list[Mention] = []
@@ -186,7 +232,10 @@ def _fuzzy_entity(
     best_entity = None
     if cap > 0:
         token_cf = token.casefold()
-        for form_cf, form, entity_id in fuzzy:
+        deletes = table.deletes(language, edit_threshold)
+        hits = {hit for variant in _deletions(token_cf, cap) for hit in deletes.get(variant, ())}
+        for position in sorted(hits):
+            form_cf, form, entity_id = fuzzy[position]
             distance = levenshtein(token_cf, form_cf, cap=cap)
             if distance > cap:
                 continue

@@ -245,8 +245,13 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     corpora = {lang: load_text(config.corpus_dir / f"{lang}.txt", lang) for lang in family.members}
     corpora[config.target] = target_text
 
-    table = load_lexicon(config.lexicon) if config.lexicon is not None else None
-    mentions = find_view_mentions(corpora, table, config.edit_threshold)
+    # only mention search reads the lexicon, so no reference to it (or to its
+    # match indexes) outlives that call into the vocab and stage writes
+    mentions = find_view_mentions(
+        corpora,
+        load_lexicon(config.lexicon) if config.lexicon is not None else None,
+        config.edit_threshold,
+    )
     vocab = build_shared_vocab(config, corpora, family, mentions)
     vocab_sha256 = write_vocab(vocab, config.out_dir / "vocab.txt")
 

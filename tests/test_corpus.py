@@ -15,12 +15,16 @@ from lowresmt.corpus import (
     intersect,
     load_candidates,
     load_text,
+    read_rows,
     restrict,
     save_text,
     split,
     write_lines,
 )
 from lowresmt.datagen import file_sha256
+
+# str.splitlines ends a line at each of these; inside a corpus line they are token gaps
+INLINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def write(tmp_path, name, content):
@@ -119,6 +123,44 @@ class TestLoadText:
         plain = retained_bytes(plain_load)
         interned = retained_bytes(lambda: load_text(path, "en"))
         assert interned <= plain / 2, (interned, plain)
+
+    def test_form_feed_inside_a_verse_adds_no_line(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"alpha beta\x0cgamma delta\nepsilon zeta\n")
+        text = load_text(path, "en")
+        assert text.lines == {
+            "0": ("alpha", "beta", "gamma", "delta"), "1": ("epsilon", "zeta"),
+        }
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(st.text("abcé", min_size=1, max_size=4), min_size=1, max_size=4),
+                st.lists(st.sampled_from(" " + INLINE_BREAKS), min_size=3, max_size=3),
+                st.sampled_from(["\n", "\r\n", "\r"]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        id_format=st.booleans(),
+        final_end=st.booleans(),
+        bom=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_only_line_ends_split_lines(self, rows, id_format, final_end, bom):
+        content = "\ufeff" if bom else ""
+        expected = {}
+        for index, (words, (lead, gap, trail), end) in enumerate(rows):
+            line_id = f"V{index}" if id_format else str(index)
+            line = lead + gap.join(words) + trail
+            content += (f"{line_id}\t" if id_format else "") + line
+            content += end if final_end or index < len(rows) - 1 else ""
+            expected[line_id] = tuple(words)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.txt"
+            path.write_bytes(content.encode("utf-8"))
+            assert load_text(path, "x").lines == expected
+            assert [number for number, _ in read_rows(path)] == list(range(1, len(rows) + 1))
 
 
 class TestLoadCandidates:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lowresmt.lexicon
 from helpers import make_entity_table, make_filler_words
 from lowresmt.lexicon import (
     LexiconTable,
@@ -378,3 +379,96 @@ class TestProperties:
                 assert capped == true_distance
             else:
                 assert capped == cap + 1
+
+
+def oracle_find_mentions(tokens, language, table, edit_threshold):
+    """``find_mentions`` by scanning every form at every position, kept independent.
+
+    The longest exact match wins (ties by entity id, then form); else the
+    single-token form with the least (distance, entity id, form) within
+    min(edit_threshold, ceil(len/3)), compared casefolded.
+    """
+    forms = [
+        (tuple(form.split()), form, entity_id)
+        for entity_id in sorted(table.entities)
+        for form in table.forms(entity_id, language)
+    ]
+    mentions = []
+    pos = 0
+    while pos < len(tokens):
+        exact = [
+            (-len(parts), entity_id, parts)
+            for parts, _, entity_id in forms
+            if tuple(tokens[pos : pos + len(parts)]) == parts
+        ]
+        matched = None
+        if exact:
+            _, entity_id, parts = min(exact)
+            matched = Mention(pos, pos + len(parts), entity_id, " ".join(parts))
+        elif edit_threshold > 0:
+            cap = min(edit_threshold, -(-len(tokens[pos]) // 3))
+            near = [
+                (oracle_levenshtein(tokens[pos].casefold(), form.casefold()), entity_id, form)
+                for parts, form, entity_id in forms
+                if len(parts) == 1
+            ]
+            near = [key for key in near if key[0] <= cap]
+            if cap > 0 and near:
+                matched = Mention(pos, pos + 1, min(near)[1], tokens[pos])
+        if matched is None:
+            pos += 1
+        else:
+            mentions.append(matched)
+            pos = matched.end
+    return mentions
+
+
+# "ß" casefolds to "ss" and "İ" to "i" plus a combining dot: both change length
+FUZZY_ALPHABET = "abisS\u00df\u0130\u0307"
+
+
+@st.composite
+def fuzzy_cases(draw):
+    """A table of single- and multi-token forms in two languages, and token lines."""
+    word = st.text(FUZZY_ALPHABET, min_size=1, max_size=7)
+    form = st.lists(word, min_size=1, max_size=2).map(" ".join)
+    forms = st.lists(form, min_size=1, max_size=3, unique=True)
+    entities = draw(st.dictionaries(
+        st.sampled_from(["e0", "e1", "e2", "e3", "e4"]),
+        st.dictionaries(st.sampled_from(["x", "y"]), forms, min_size=1),
+        min_size=1,
+    ))
+    form_words = sorted({w for by_lang in entities.values() for forms in by_lang.values()
+                         for f in forms for w in f.split()})
+    token = st.one_of(word, st.sampled_from(form_words))
+    lines = draw(st.lists(st.lists(token, max_size=8), min_size=1, max_size=4))
+    return LexiconTable(entities), lines, draw(st.integers(0, 3))
+
+
+class TestFuzzyIndex:
+    @given(case=fuzzy_cases())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_indexed_search_equals_a_scan_of_every_form(self, case):
+        table, lines, edit_threshold = case
+        for language in ("x", "y"):
+            for tokens in lines:
+                assert find_mentions(tokens, language, table, edit_threshold) == (
+                    oracle_find_mentions(tokens, language, table, edit_threshold)
+                )
+
+    def test_a_token_near_no_form_costs_no_distance_computation(self, monkeypatch):
+        calls = []
+
+        def counting(a, b, cap=None):
+            calls.append((a, b))
+            return levenshtein(a, b, cap)
+
+        monkeypatch.setattr(lowresmt.lexicon, "levenshtein", counting)
+        rng = random.Random(5)
+        forms = make_filler_words(200, rng)
+        table = LexiconTable({f"e{i:03d}": {"en": [form]} for i, form in enumerate(forms)})
+        assert find_mentions(["Qzqzqzq"], "en", table, 2) == []
+        assert calls == []
+        variant = forms[7][:-1] + "z"  # one substitution away from one form
+        assert find_mentions([variant], "en", table, 2) == [Mention(0, 1, "e007", variant)]
+        assert 0 < len(calls) < len(forms)

@@ -2,6 +2,7 @@ import json
 import random
 import shutil
 import tempfile
+import weakref
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import lowresmt.datagen
 import lowresmt.lexicon
+import lowresmt.pipeline
 from helpers import make_entity_table, make_filler_words
 from lowresmt.cli import main
 from lowresmt.corpus import ParallelText, load_text, save_text
@@ -111,6 +113,27 @@ def test_one_mention_search_per_language_line(monkeypatch, tmp_path):
         for lang in [*manifest["family"], config.target]
     }
     assert dict(calls) == expected
+
+
+def test_lexicon_table_is_freed_once_mentions_are_found(monkeypatch, tmp_path):
+    tables = []
+    load_lexicon = lowresmt.pipeline.load_lexicon
+    build_shared_vocab = lowresmt.pipeline.build_shared_vocab
+
+    def loading(path):
+        table = load_lexicon(path)
+        tables.append(weakref.ref(table))
+        return table
+
+    def building(*args, **kwargs):
+        assert [ref for ref in tables if ref() is not None] == []
+        return build_shared_vocab(*args, **kwargs)
+
+    monkeypatch.setattr(lowresmt.pipeline, "load_lexicon", loading)
+    monkeypatch.setattr(lowresmt.pipeline, "build_shared_vocab", building)
+    manifest = run_pipeline(entity_corpus(tmp_path, 3))
+    assert len(tables) == 1
+    assert manifest["stages"]
 
 
 def test_failed_rerun_leaves_no_manifest(tmp_path):
