@@ -18,7 +18,7 @@ from pathlib import Path
 from . import align as align_mod
 from . import combine as combine_mod
 from .bleu import corpus_bleu
-from .corpus import load_candidates, load_text, read_rows, save_text, write_lines
+from .corpus import bitext, load_candidates, load_text, read_rows, same_ids, save_text, write_lines
 from .lexicon import build_target_dictionary, detag, load_lexicon, tag_sentence
 from .pipeline import PipelineConfig, run_pipeline, verify_output
 from .rank import rank_languages, write_ranking, write_skips
@@ -37,17 +37,14 @@ def _env_workers() -> int | None:
 def _cmd_align(args) -> int:
     source = load_text(args.source, Path(args.source).stem)
     target = load_text(args.target, Path(args.target).stem)
-    shared = [lid for lid in source.lines if lid in target.lines]
-    if not shared:
+    pairs = bitext(source, target)
+    if not pairs:
         raise ValueError("source and target share no line ids")
-    bitext = [(source.lines[lid], target.lines[lid]) for lid in shared]
-    model = align_mod.train_alignment(
-        bitext, args.iterations, p_null=args.p_null
-    )
+    model = align_mod.train_alignment(pairs, args.iterations, p_null=args.p_null)
     align_mod.save_model(model, args.output)
     log.info("model saved to %s (%d source types)", args.output, len(model.ttable))
     if args.stats_output:
-        stats = align_mod.collect_statistics(model, bitext)
+        stats = align_mod.collect_statistics(model, pairs)
         align_mod.save_statistics(stats, args.stats_output)
         log.info("statistics saved to %s", args.stats_output)
     return 0
@@ -72,6 +69,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_tag(args) -> int:
+    if args.edit_threshold < 0:
+        raise ValueError(f"--edit-threshold must be >= 0, got {args.edit_threshold}")
     table = load_lexicon(args.lexicon)
     text = load_text(args.input, args.language)
     template_rows = []
@@ -146,11 +145,8 @@ def _cmd_combine(args) -> int:
 def _cmd_score(args) -> int:
     hyp = load_text(args.hypotheses, "hyp")
     ref = load_text(args.references, "ref")
-    if set(hyp.lines) != set(ref.lines):
-        raise ValueError("hypothesis and reference line ids differ")
-    hyp_lines = [hyp.lines[lid] for lid in hyp.lines]
-    ref_lines = [ref.lines[lid] for lid in hyp.lines]
-    score = corpus_bleu(hyp_lines, ref_lines)
+    ids = same_ids([hyp, ref])
+    score = corpus_bleu([hyp.lines[lid] for lid in ids], [ref.lines[lid] for lid in ids])
     p1, p2, p3, p4 = score.precisions
     row = (
         f"{score.value:.6f}\t{p1:.6f}\t{p2:.6f}\t{p3:.6f}\t{p4:.6f}"

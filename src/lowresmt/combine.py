@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .bleu import Tokens, sentence_bleu
-from .corpus import ParallelText, write_lines
+from .corpus import ParallelText, same_ids, write_lines
 
 
 @dataclass(frozen=True)
@@ -71,22 +71,19 @@ def select_center(cluster: TranslationCluster) -> CentroidChoice:
 def combine_corpus(translations: Sequence[ParallelText]) -> tuple[ParallelText, CombineReport]:
     """Per-line cluster-center selection over line-aligned translations.
 
-    All inputs must carry exactly the same line ids; the first ragged id
-    is named in the error.  The report records the chosen language per
-    line and the per-language selection histogram.
+    All inputs must carry the same line ids (``corpus.same_ids``) and
+    distinct languages, since the report names each choice by language.
+    The report records the chosen language per line and the per-language
+    selection histogram.
     """
     if not translations:
         raise ValueError("no translations to combine")
-    reference = translations[0]
-    ids = list(reference.lines)
-    for text in translations[1:]:
-        for lid in ids:
-            if lid not in text.lines:
-                raise ValueError(f"{text.language!r} is missing line id {lid!r}")
-        for lid in text.lines:
-            if lid not in reference.lines:
-                raise ValueError(f"{text.language!r} has extra line id {lid!r}")
-    histogram = {text.language: 0 for text in translations}
+    histogram: dict[str, int] = {}
+    for text in translations:
+        if text.language in histogram:
+            raise ValueError(f"language {text.language!r} is given twice")
+        histogram[text.language] = 0
+    ids = same_ids(translations)
     choices: list[CentroidChoice] = []
     lines: dict[str, tuple[str, ...]] = {}
     for lid in ids:

@@ -4,6 +4,11 @@ Corpora are keyed by opaque line ids so that verse keys like ``MRK_1_16``
 and plain line numbers share one code path.  Identical ids across
 languages denote translations of the same content.  All values are
 immutable after construction and safe to share across threads.
+
+Every match of line ids across texts happens here: ``same_ids`` for texts
+that must hold the same lines in any order (a ragged text is named with
+its first missing, or else extra, id), ``restrict``, ``intersect`` and
+``bitext``.
 """
 from __future__ import annotations
 
@@ -209,6 +214,35 @@ def restrict(text: ParallelText, line_ids: Iterable[str]) -> ParallelText:
             f"{text.language!r} lacks {len(missing)} line id(s), first: {missing[0]!r}"
         )
     return ParallelText(text.language, {lid: text.lines[lid] for lid in line_ids})
+
+
+def same_ids(texts: Sequence[ParallelText]) -> list[str]:
+    """The first text's line ids, once every text holds exactly those ids.
+
+    Order may differ between texts.  Otherwise raises naming the first
+    ragged text and its first missing id (in first-text order), or else
+    its first extra id.
+    """
+    first, *rest = texts
+    ids = first.lines.keys()
+    for text in rest:
+        if text.lines.keys() == ids:
+            continue
+        for lid in ids:
+            if lid not in text.lines:
+                raise ValueError(f"{text.language!r} is missing line id {lid!r}")
+        extra = next(lid for lid in text.lines if lid not in first.lines)
+        raise ValueError(f"{text.language!r} has extra line id {extra!r}")
+    return list(ids)
+
+
+def bitext(
+    source: ParallelText, target: ParallelText
+) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """(source tokens, target tokens) on the line ids both texts hold, in source order."""
+    return [
+        (tokens, target.lines[lid]) for lid, tokens in source.lines.items() if lid in target.lines
+    ]
 
 
 def intersect(texts: Sequence[ParallelText]) -> list[ParallelText]:

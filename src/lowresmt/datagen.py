@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import ParallelText, SplitSpec, intersect, open_output, restrict, write_lines
+from .corpus import ParallelText, SplitSpec, intersect, open_output, restrict, same_ids, write_lines
 from .corpus import split as split_corpus
 from .lexicon import LexiconTable, Mention, find_mentions, pair_templates, placeholder
 
@@ -117,13 +117,7 @@ def _check_view(languages: Sequence[str], view: View) -> list[str]:
     missing = [lang for lang in languages if lang not in view]
     if missing:
         raise ValueError(f"view lacks language(s): {', '.join(missing)}")
-    ids = list(view[languages[0]].lines)
-    for lang in languages[1:]:
-        if list(view[lang].lines) != ids:
-            raise ValueError(
-                f"view for {lang!r} is not line-aligned with {languages[0]!r}"
-            )
-    return ids
+    return same_ids([view[lang] for lang in languages])
 
 
 def _pair_lines(view, src, tgt, line_ids, mentions):
@@ -213,21 +207,11 @@ def symmetrize(low: ParallelText, sources: Sequence[ParallelText]) -> dict[str, 
     """Restrict every source to exactly the low-resource line ids.
 
     The returned view includes the low-resource text itself.  A source
-    missing any of the low-resource ids is a hard error naming them.
+    missing any of the low-resource ids is a hard error from ``restrict``,
+    naming the count and the first.
     """
     ids = list(low.lines)
-    view: dict[str, ParallelText] = {}
-    for source in sources:
-        missing = [lid for lid in ids if lid not in source.lines]
-        if missing:
-            shown = ", ".join(repr(m) for m in missing[:5])
-            suffix = ", ..." if len(missing) > 5 else ""
-            raise ValueError(
-                f"{source.language!r} lacks {len(missing)} low-resource line id(s): {shown}{suffix}"
-            )
-        view[source.language] = restrict(source, ids)
-    view[low.language] = restrict(low, ids)
-    return view
+    return {text.language: restrict(text, ids) for text in (*sources, low)}
 
 
 def build_vocab(

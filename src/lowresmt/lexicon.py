@@ -74,8 +74,7 @@ class LexiconTable:
     def __init__(self, entities: dict[str, dict[str, list[str]]]):
         self.entities = entities
         self._exact: dict[str, dict[str, list[tuple[tuple[str, ...], str]]]] = {}
-        self._fuzzy: dict[str, list[tuple[str, str, str]]] = {}
-        self._deletes: dict[tuple[str, int], dict[str, list[int]]] = {}
+        self._deletes: dict[tuple[str, int], dict[str, list[tuple[str, str, str]]]] = {}
         self._fuzzy_cache: dict[tuple[str, str, int], str | None] = {}
 
     def __len__(self) -> int:
@@ -84,36 +83,35 @@ class LexiconTable:
     def forms(self, entity_id: str, language: str) -> list[str]:
         return self.entities.get(entity_id, {}).get(language, [])
 
-    def indexes(self, language: str):
+    def exact(self, language: str) -> dict[str, list[tuple[tuple[str, ...], str]]]:
+        """First token -> (form tokens, entity id), longest form first, then by entity id."""
         if language not in self._exact:
             exact: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-            fuzzy: list[tuple[str, str, str]] = []
-            for entity_id in sorted(self.entities):
-                for form in self.entities[entity_id].get(language, []):
+            for entity_id, by_language in self.entities.items():
+                for form in by_language.get(language, []):
                     tokens = tuple(form.split())
                     exact.setdefault(tokens[0], []).append((tokens, entity_id))
-                    if len(tokens) == 1:
-                        fuzzy.append((form.casefold(), form, entity_id))
             for candidates in exact.values():
                 candidates.sort(key=lambda item: (-len(item[0]), item[1], item[0]))
-            fuzzy.sort()
             self._exact[language] = exact
-            self._fuzzy[language] = fuzzy
-        return self._exact[language], self._fuzzy[language]
+        return self._exact[language]
 
-    def deletes(self, language: str, edit_threshold: int) -> dict[str, list[int]]:
+    def deletes(self, language: str, edit_threshold: int) -> dict[str, list[tuple[str, str, str]]]:
         """The symmetric-delete index of one language's single-token forms.
 
         Maps each string reachable from a casefolded form by at most
-        ``edit_threshold`` deletions to the ascending positions of the
-        forms that reach it in the fuzzy index.
+        ``edit_threshold`` deletions to the ``(casefolded form, form,
+        entity id)`` entries of the forms that reach it.
         """
         key = (language, edit_threshold)
         if key not in self._deletes:
-            index: dict[str, list[int]] = {}
-            for position, (form_cf, _, _) in enumerate(self.indexes(language)[1]):
-                for variant in _deletions(form_cf, edit_threshold):
-                    index.setdefault(variant, []).append(position)
+            index: dict[str, list[tuple[str, str, str]]] = {}
+            for entity_id, by_language in self.entities.items():
+                for form in by_language.get(language, []):
+                    if len(form.split()) == 1:
+                        entry = (form.casefold(), form, entity_id)
+                        for variant in _deletions(entry[0], edit_threshold):
+                            index.setdefault(variant, []).append(entry)
             self._deletes[key] = index
         return self._deletes[key]
 
@@ -193,7 +191,7 @@ def find_mentions(
     keys per form of length L at threshold 2); results are memoized
     per token.
     """
-    exact, fuzzy = table.indexes(language)
+    exact = table.exact(language)
     mentions: list[Mention] = []
     pos = 0
     n = len(tokens)
@@ -205,7 +203,7 @@ def find_mentions(
                 matched = Mention(pos, end, entity_id, " ".join(tokens[pos:end]))
                 break
         if matched is None and edit_threshold > 0:
-            entity_id = _fuzzy_entity(tokens[pos], language, table, fuzzy, edit_threshold)
+            entity_id = _fuzzy_entity(tokens[pos], language, table, edit_threshold)
             if entity_id is not None:
                 matched = Mention(pos, pos + 1, entity_id, tokens[pos])
         if matched is not None:
@@ -217,32 +215,22 @@ def find_mentions(
 
 
 def _fuzzy_entity(
-    token: str,
-    language: str,
-    table: LexiconTable,
-    fuzzy: list[tuple[str, str, str]],
-    edit_threshold: int,
+    token: str, language: str, table: LexiconTable, edit_threshold: int
 ) -> str | None:
     # memoized per table: the same tokens recur across a corpus
     cache_key = (language, token, edit_threshold)
     if cache_key in table._fuzzy_cache:
         return table._fuzzy_cache[cache_key]
     cap = min(edit_threshold, math.ceil(len(token) / 3))
-    best_key = None
-    best_entity = None
-    if cap > 0:
-        token_cf = token.casefold()
-        deletes = table.deletes(language, edit_threshold)
-        hits = {hit for variant in _deletions(token_cf, cap) for hit in deletes.get(variant, ())}
-        for position in sorted(hits):
-            form_cf, form, entity_id = fuzzy[position]
-            distance = levenshtein(token_cf, form_cf, cap=cap)
-            if distance > cap:
-                continue
-            key = (distance, entity_id, form)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_entity = entity_id
+    token_cf = token.casefold()
+    deletes = table.deletes(language, edit_threshold)
+    hits = {hit for variant in _deletions(token_cf, cap) for hit in deletes.get(variant, ())}
+    # (distance, entity id, form) is a total key, so the order of the checks is moot
+    keys = (
+        (levenshtein(token_cf, form_cf, cap=cap), entity_id, form)
+        for form_cf, form, entity_id in hits
+    )
+    _, best_entity, _ = min((key for key in keys if key[0] <= cap), default=(None, None, None))
     table._fuzzy_cache[cache_key] = best_entity
     return best_entity
 

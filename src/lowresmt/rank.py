@@ -39,7 +39,7 @@ from .align import (
     train_alignment,
 )
 from .bleu import corpus_bleu
-from .corpus import ParallelText, write_lines
+from .corpus import ParallelText, bitext, write_lines
 
 FAMD = "FAMD"
 FAMP = "FAMP"
@@ -134,24 +134,21 @@ def famp_score(
 
 def _score_candidate(job) -> tuple[str, float | None, str | None]:
     candidate, target, metric, min_shared, iterations = job
-    shared = [lid for lid in candidate.lines if lid in target.lines]
-    if len(shared) < min_shared:
+    pairs = bitext(candidate, target)
+    if len(pairs) < min_shared:
         return (
             candidate.language,
             None,
-            f"only {len(shared)} shared lines (minimum {min_shared})",
+            f"only {len(pairs)} shared lines (minimum {min_shared})",
         )
-    bitext = [(candidate.lines[lid], target.lines[lid]) for lid in shared]
     if metric == FAMD:
-        model = train_alignment(bitext, iterations)
-        stats = collect_statistics(model, bitext)
+        model = train_alignment(pairs, iterations)
+        stats = collect_statistics(model, pairs)
         return candidate.language, famd_score(stats), None
-    if len(bitext) < 2:
+    if len(pairs) < 2:
         return candidate.language, None, "too few shared lines to hold any out"
-    n_train = min(
-        max(math.floor(len(bitext) * TRAIN_FRACTION + 1e-9), 1), len(bitext) - 1
-    )
-    train, heldout = bitext[:n_train], bitext[n_train:]
+    n_train = min(max(math.floor(len(pairs) * TRAIN_FRACTION + 1e-9), 1), len(pairs) - 1)
+    train, heldout = pairs[:n_train], pairs[n_train:]
     model = train_alignment(train, iterations)
     stats = collect_statistics(model, train)
     return candidate.language, famp_score(model, stats, heldout), None

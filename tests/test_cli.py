@@ -52,6 +52,20 @@ class TestScore:
         ref = write(tmp_path / "ref.txt", "a\n")
         assert main(["score", "--hypotheses", str(hyp), "--references", str(ref)]) == 1
 
+    @pytest.mark.parametrize(
+        "references, problem",
+        [("a\n", "'ref' is missing line id '1'"), ("a\nb\nc\n", "'ref' has extra line id '2'")],
+    )
+    def test_ragged_ids_are_named(self, tmp_path, caplog, references, problem):
+        hyp = write(tmp_path / "hyp.txt", "a\nb\n")
+        ref = write(tmp_path / "ref.txt", references)
+        out = tmp_path / "bleu.tsv"
+        assert main(
+            ["score", "--hypotheses", str(hyp), "--references", str(ref), "--output", str(out)]
+        ) == 1
+        assert problem in caplog.text
+        assert not out.exists()
+
 
 class TestAlign:
     def test_trains_and_saves(self, tmp_path, small_corpus_dir):
@@ -158,6 +172,22 @@ class TestTagDetag:
         assert load_text(detagged, "de").lines == {"V0": ("Ji", "sings"), "V1": ("Ji", "too")}
         assert report.read_text(encoding="utf-8") == ""
 
+    def test_negative_edit_threshold_exits_one_before_reading(self, tmp_path, caplog):
+        absent = tmp_path / "absent"
+        tagged = tmp_path / "tagged.txt"
+        assert main(
+            [
+                "tag",
+                "--input", str(absent / "in.txt"),
+                "--language", "en",
+                "--lexicon", str(absent / "lex.tsv"),
+                "--output", str(tagged),
+                "--edit-threshold", "-1",
+            ]
+        ) == 1
+        assert "--edit-threshold must be >= 0, got -1" in caplog.text
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCombine:
     def test_merges_files(self, tmp_path):
@@ -176,6 +206,32 @@ class TestCombine:
         ) == 0
         assert out.read_text() == "1\tx y z\n"
         assert report.read_text().split("\t")[1] == "aa"
+
+    def test_repeated_file_stem_exits_one_and_writes_nothing(self, tmp_path, caplog):
+        inputs = []
+        for folder, text in (("a", "x y"), ("b", "p q")):
+            (tmp_path / folder).mkdir()
+            inputs.append(str(write(tmp_path / folder / "hyp.txt", f"1\t{text}\n")))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(
+            [
+                "combine",
+                "--inputs", *inputs,
+                "--output", str(out_dir / "combined.txt"),
+                "--report", str(out_dir / "choices.tsv"),
+            ]
+        ) == 1
+        assert "language 'hyp' is given twice" in caplog.text
+        assert list(out_dir.iterdir()) == []
+
+    def test_ragged_inputs_name_language_and_id(self, tmp_path, caplog):
+        a = write(tmp_path / "aa.txt", "1\tx\n2\ty\n")
+        b = write(tmp_path / "bb.txt", "2\ty\n")
+        out = tmp_path / "combined.txt"
+        assert main(["combine", "--inputs", str(a), str(b), "--output", str(out)]) == 1
+        assert "'bb' is missing line id '1'" in caplog.text
+        assert not out.exists()
 
 
 def pipeline_config(corpus_dir, out_dir, family):

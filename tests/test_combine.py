@@ -204,11 +204,17 @@ class TestCombineCorpus:
     def test_ragged_inputs_name_the_offending_line(self):
         a = ParallelText("a", {"1": ("x",), "2": ("y",)})
         b = ParallelText("b", {"1": ("x",)})
-        with pytest.raises(ValueError, match="missing line id '2'"):
+        with pytest.raises(ValueError, match="'b' is missing line id '2'"):
             combine_corpus([a, b])
         c = ParallelText("c", {"1": ("x",), "2": ("y",), "3": ("z",)})
-        with pytest.raises(ValueError, match="extra line id '3'"):
+        with pytest.raises(ValueError, match="'c' has extra line id '3'"):
             combine_corpus([a, c])
+
+    def test_repeated_language_is_an_error(self):
+        a = ParallelText("hyp", {"1": ("x",)})
+        b = ParallelText("hyp", {"1": ("y",)})
+        with pytest.raises(ValueError, match="language 'hyp' is given twice"):
+            combine_corpus([a, ParallelText("other", {"1": ("z",)}), b])
 
     def test_no_inputs_is_an_error(self):
         with pytest.raises(ValueError):

@@ -12,11 +12,13 @@ from lowresmt.corpus import (
     CHUNK_BYTES,
     ParallelText,
     SplitSpec,
+    bitext,
     intersect,
     load_candidates,
     load_text,
     read_rows,
     restrict,
+    same_ids,
     save_text,
     split,
     write_lines,
@@ -185,6 +187,62 @@ class TestLoadCandidates:
         target = load_text(write(tmp_path, "lr.txt", "V1\tx\n"), "lr")
         with pytest.raises(ValueError, match="no candidate corpora"):
             load_candidates(tmp_path, target)
+
+
+class TestSameIds:
+    def test_returns_the_first_order_whatever_the_others(self):
+        a = text_of("a", [("2", "x"), ("1", "y"), ("3", "z")])
+        b = text_of("b", [("1", "p"), ("3", "q"), ("2", "r")])
+        assert same_ids([a, b]) == ["2", "1", "3"]
+        assert same_ids([a]) == ["2", "1", "3"]
+
+    @pytest.mark.parametrize(
+        "ids, problem",
+        [
+            (["3"], "'b' is missing line id '1'"),
+            (["1", "2", "3", "5", "4"], "'b' has extra line id '5'"),
+            # a text both lacking and adding ids is named for what it lacks
+            (["x", "1", "2"], "'b' is missing line id '3'"),
+        ],
+    )
+    def test_ragged_text_names_its_first_missing_or_extra_id(self, ids, problem):
+        a = text_of("a", [("1", "x"), ("2", "y"), ("3", "z")])
+        b = text_of("b", [(lid, "w") for lid in ids])
+        with pytest.raises(ValueError, match=problem):
+            same_ids([a, b])
+
+    def test_names_the_first_ragged_text(self):
+        a = text_of("a", [("1", "x"), ("2", "y")])
+        c = text_of("c", [("1", "x")])
+        with pytest.raises(ValueError, match="'c' is missing line id '2'"):
+            same_ids([a, a, c, text_of("d", [("9", "x")])])
+
+    @given(
+        ids_a=st.lists(st.integers(0, 8), min_size=1, max_size=8, unique=True),
+        ids_b=st.lists(st.integers(0, 8), min_size=1, max_size=8, unique=True),
+    )
+    @settings(max_examples=100, derandomize=True)
+    def test_accepts_exactly_equal_id_sets(self, ids_a, ids_b):
+        a = text_of("a", [(str(i), "x") for i in ids_a])
+        b = text_of("b", [(str(i), "y") for i in ids_b])
+        if set(ids_a) == set(ids_b):
+            assert same_ids([a, b]) == [str(i) for i in ids_a]
+            return
+        with pytest.raises(ValueError) as excinfo:
+            same_ids([a, b])
+        named = int(str(excinfo.value).rsplit("'", 2)[1])
+        lacked = [i for i in ids_a if i not in ids_b]
+        assert named == (lacked[0] if lacked else next(i for i in ids_b if i not in ids_a))
+
+
+class TestBitext:
+    def test_pairs_on_shared_ids_in_source_order(self):
+        source = text_of("s", [("3", "c"), ("1", "a a"), ("2", "b")])
+        target = text_of("t", [("1", "A"), ("9", "Z"), ("3", "C")])
+        assert bitext(source, target) == [(("c",), ("C",)), (("a", "a"), ("A",))]
+
+    def test_disjoint_texts_give_no_pairs(self):
+        assert bitext(text_of("s", [("1", "a")]), text_of("t", [("2", "b")])) == []
 
 
 class TestIntersect:

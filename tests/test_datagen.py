@@ -140,6 +140,40 @@ class TestSymmetrize:
         assert out["l1"].lines == view["l1"].lines
 
 
+def emit_either(configuration, languages, view, out_dir):
+    if configuration == "complete":
+        return emit_complete(languages, view, out_dir, "train")
+    return emit_star(languages[:-1], languages[-1], view, out_dir, "train")
+
+
+@pytest.mark.parametrize("configuration", ["complete", "star"])
+@pytest.mark.parametrize(
+    "ids, problem",
+    [
+        (["i0000", "i0002"], "'l2' is missing line id 'i0001'"),
+        (["i0000", "i0001", "i0002", "x"], "'l2' has extra line id 'x'"),
+    ],
+)
+def test_ragged_view_names_language_and_id_before_writing(
+    tmp_path, configuration, ids, problem
+):
+    languages, view = make_view(3, 3)
+    view["l2"] = ParallelText("l2", {lid: ("w",) for lid in ids})
+    with pytest.raises(ValueError, match=problem):
+        emit_either(configuration, languages, view, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("configuration", ["complete", "star"])
+def test_view_in_another_line_order_writes_the_first_language_order(tmp_path, configuration):
+    languages, view = make_view(3, 4)
+    emit_either(configuration, languages, view, tmp_path / "a")
+    reordered = ParallelText("l2", dict(reversed(view["l2"].lines.items())))
+    emit_either(configuration, languages, {**view, "l2": reordered}, tmp_path / "b")
+    for name in ("train.src", "train.tgt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 class TestBuildVocab:
     def test_union_of_disjoint_texts(self):
         a = ParallelText("a", {str(i): (f"a{i}",) for i in range(100)})

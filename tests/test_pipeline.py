@@ -229,6 +229,38 @@ def test_explicit_family_reads_no_unrelated_corpus(tmp_path):
     assert manifest == {**golden, "provenance": "FAMO+"}
 
 
+def test_spelling_variant_is_tagged_through_the_fuzzy_fallback(monkeypatch, tmp_path):
+    # UpzvonAaa is one edit from entity e008's form UpnvonAaa and matches no form exactly;
+    # tagged as e008, it leaves every template, the vocab and so the manifest unchanged
+    golden = json.loads((FIXTURE_DIR / "golden_manifest.json").read_text(encoding="utf-8"))
+    corpus_dir = fixture_copy(tmp_path, family=["aaa", "bbb", "ccc", "ddd"])
+    aaa = corpus_dir / "aaa.txt"
+    first, rest = aaa.read_text(encoding="utf-8").split("\n", 1)
+    assert first.startswith("V000\t") and first.count(" UpnvonAaa ") == 1
+    aaa.write_text(first.replace(" UpnvonAaa ", " UpzvonAaa ") + "\n" + rest, encoding="utf-8")
+    levenshtein = lowresmt.lexicon.levenshtein
+    distances = []
+
+    def recording(*args, **kwargs):
+        distances.append(levenshtein(*args, **kwargs))
+        return distances[-1]
+
+    monkeypatch.setattr(lowresmt.lexicon, "levenshtein", recording)
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest == {**golden, "provenance": "FAMO+"}
+    assert 1 in distances
+
+
+def test_stage2_names_a_family_member_lacking_a_target_line(tmp_path, caplog):
+    corpus_dir = fixture_copy(tmp_path, family=["aaa", "bbb", "ccc"])
+    with (corpus_dir / "lrx.txt").open("a", encoding="utf-8") as handle:
+        handle.write("V999\tonly.lrx has.lrx this.lrx line.lrx\n")
+    assert run_cli("gen", corpus_dir, tmp_path / "out", "--stage", "2") == 1
+    assert "'aaa' lacks 1 line id(s), first: 'V999'" in caplog.text
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_malformed_candidate_fails_before_ranking(tmp_path, caplog):
     corpus_dir = fixture_copy(tmp_path)
     (corpus_dir / "zzz.txt").write_text(MALFORMED_CORPUS, encoding="utf-8")

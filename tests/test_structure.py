@@ -1,10 +1,16 @@
-"""Every file the package writes goes through ``corpus.open_output``.
+"""Writes and line-id matches each have one home: ``corpus.py``.
 
+Every file the package writes goes through ``corpus.open_output``.
 Outside ``corpus.py`` no module may call ``write_text``/``write_bytes``
 or open a file in a mode that can write (``w``, ``a``, ``x`` or ``+``).
 The mode is the second argument of the builtin ``open`` and the first of
 a ``.open`` method such as ``Path.open``; a mode that is not a string
 literal counts as a write, because the check cannot prove it reads.
+
+Every comparison of line ids across texts goes through ``corpus.py``
+(``same_ids``, ``bitext``, ``restrict``, ``intersect``).  Outside it no
+module may test ``in``/``not in`` against a ``.lines`` attribute, or
+compare ``list(...)`` or ``set(...)`` of one with ``==``/``!=``.
 """
 import ast
 from pathlib import Path
@@ -39,15 +45,55 @@ def write_calls(source: str) -> list[str]:
     return found
 
 
-def test_package_writes_only_through_corpus():
+def _is_lines(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "lines"
+
+
+def _ids_of_lines(node) -> bool:
+    """``list(x.lines)`` or ``set(x.lines)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("list", "set")
+        and len(node.args) == 1
+        and _is_lines(node.args[0])
+    )
+
+
+def line_id_matches(source: str) -> list[str]:
+    """``line: comparison`` for each comparison in ``source`` that matches line ids."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            membership = isinstance(op, (ast.In, ast.NotIn)) and _is_lines(right)
+            equality = isinstance(op, (ast.Eq, ast.NotEq)) and (
+                _ids_of_lines(left) or _ids_of_lines(right)
+            )
+            if membership or equality:
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+                break
+    return found
+
+
+def outside_corpus(detector) -> dict[str, list[str]]:
     modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "corpus.py")
     assert modules
-    found = {
-        path.name: calls
+    return {
+        path.name: found
         for path in modules
-        if (calls := write_calls(path.read_text(encoding="utf-8")))
+        if (found := detector(path.read_text(encoding="utf-8")))
     }
-    assert found == {}
+
+
+def test_package_writes_only_through_corpus():
+    assert outside_corpus(write_calls) == {}
+
+
+def test_package_matches_line_ids_only_in_corpus():
+    assert outside_corpus(line_id_matches) == {}
 
 
 @pytest.mark.parametrize(
@@ -68,3 +114,25 @@ def test_package_writes_only_through_corpus():
 )
 def test_write_calls_detector(source, flagged):
     assert bool(write_calls(source)) is flagged
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("lid in text.lines", True),
+        ("lid not in view[lang].lines", True),
+        ("[lid for lid in a.lines if lid in b.lines]", True),
+        ("set(a.lines) != set(b.lines)", True),
+        ("list(view[lang].lines) != ids", True),
+        ("ids == list(a.lines)", True),
+        ("0 < n and lid in a.lines", True),
+        ("for lid in text.lines:\n    pass", False),
+        ("ids = list(text.lines)", False),
+        ("lid in mentions[lang]", False),
+        ("len(a.lines) == 3", False),
+        ("a.lines[lid] == b.lines[lid]", False),
+        ("list(a.lines) is ids", False),
+    ],
+)
+def test_line_id_match_detector(source, flagged):
+    assert bool(line_id_matches(source)) is flagged
