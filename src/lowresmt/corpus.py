@@ -36,10 +36,6 @@ class ParallelText:
     def __len__(self) -> int:
         return len(self.lines)
 
-    @property
-    def line_ids(self) -> list[str]:
-        return list(self.lines)
-
 
 @dataclass(frozen=True)
 class SplitSpec:

@@ -10,9 +10,12 @@ index (as in SymSpell): every string reachable from a casefolded
 single-token form by at most ``edit_threshold`` deletions maps to that
 form, so a query looks up its own deletions and checks only the forms
 they hit with the capped ``levenshtein``.  At depth 2 a form of length L
-costs about 1 + L + L(L-1)/2 index keys, built once per language and
-threshold; a query costs about as many lookups for its own length plus
-one check per hit, instead of one check per form of the language.
+costs about 1 + L + L(L-1)/2 index keys; a query costs about as many
+lookups for its own length plus one check per hit, instead of one check
+per form of the language.  A table holds the index of one language (and
+threshold) at a time, so memory stays at one language's index however
+many languages are searched; a caller that alternates languages rebuilds
+the index each time it switches, so search one language after another.
 Decoding is deliberately forgiving because model output is untrusted:
 placeholders without a dictionary entry are dropped and counted rather
 than raised on.
@@ -74,7 +77,8 @@ class LexiconTable:
     def __init__(self, entities: dict[str, dict[str, list[str]]]):
         self.entities = entities
         self._exact: dict[str, dict[str, list[tuple[tuple[str, ...], str]]]] = {}
-        self._deletes: dict[tuple[str, int], dict[str, list[tuple[str, str, str]]]] = {}
+        self._deletes_key: tuple[str, int] | None = None
+        self._deletes: dict[str, list[tuple[str, str, str]]] = {}
         self._fuzzy_cache: dict[tuple[str, str, int], str | None] = {}
 
     def __len__(self) -> int:
@@ -101,19 +105,22 @@ class LexiconTable:
 
         Maps each string reachable from a casefolded form by at most
         ``edit_threshold`` deletions to the ``(casefolded form, form,
-        entity id)`` entries of the forms that reach it.
+        entity id)`` entries of the forms that reach it.  The table holds
+        one index at a time: asking for another (language, threshold)
+        drops the held index before it builds the new one.
         """
         key = (language, edit_threshold)
-        if key not in self._deletes:
-            index: dict[str, list[tuple[str, str, str]]] = {}
+        if self._deletes_key != key:
+            self._deletes_key = None
+            self._deletes = index = {}
             for entity_id, by_language in self.entities.items():
                 for form in by_language.get(language, []):
                     if len(form.split()) == 1:
                         entry = (form.casefold(), form, entity_id)
                         for variant in _deletions(entry[0], edit_threshold):
                             index.setdefault(variant, []).append(entry)
-            self._deletes[key] = index
-        return self._deletes[key]
+            self._deletes_key = key
+        return self._deletes
 
 
 def _deletions(word: str, depth: int) -> set[str]:
@@ -188,8 +195,8 @@ def find_mentions(
     deletions, so only forms under one of the token's deletions in
     ``LexiconTable.deletes`` are checked with ``levenshtein``.  The first
     fuzzy query of a language builds that index (about 1 + L + L(L-1)/2
-    keys per form of length L at threshold 2); results are memoized
-    per token.
+    keys per form of length L at threshold 2) in place of the one the
+    table held; results are memoized per token.
     """
     exact = table.exact(language)
     mentions: list[Mention] = []

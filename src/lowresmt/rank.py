@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -182,6 +181,9 @@ def rank_languages(
     jobs = [(c, target_data, metric, min_shared_lines, iterations) for c in candidates]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool machinery costs about 2 MiB that a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_score_candidate, jobs))
     else:

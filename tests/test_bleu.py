@@ -1,9 +1,11 @@
+import gc
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowresmt import bleu
@@ -194,3 +196,60 @@ def test_sentence_bleu_counts_each_side_once(monkeypatch):
     assert len(built) == 2
     assert every_gram(hyp) in built
     assert every_gram(ref) in built
+
+
+def slicing_ngram_counts(tokens):
+    """The oracle: one tuple slice per gram, orders 1 to MAX_ORDER."""
+    tokens = tuple(tokens)
+    return Counter(
+        tokens[i : i + order]
+        for order in range(1, bleu.MAX_ORDER + 1)
+        for i in range(len(tokens) - order + 1)
+    )
+
+
+def intersecting_clipped_matches(hypothesis, reference):
+    """The oracle: clip with ``Counter &``, then bucket by gram length."""
+    matches = [0] * bleu.MAX_ORDER
+    both = slicing_ngram_counts(hypothesis) & slicing_ngram_counts(reference)
+    for gram, count in both.items():
+        matches[len(gram) - 1] += count
+    return matches
+
+
+# a small vocabulary repeats tokens and grams; up to 40 tokens passes the
+# 20-token tuple free-list limit
+token_lists = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=40)
+
+
+@given(hyp=token_lists, ref=token_lists, as_tuple=st.booleans())
+@example(hyp=[], ref=[], as_tuple=False)
+@example(hyp=["a"], ref=["a", "a", "a"], as_tuple=False)
+@example(hyp=["a"] * 25, ref="a b a b a".split(), as_tuple=True)
+@settings(max_examples=300, derandomize=True)
+def test_kernel_equals_the_slicing_oracle(hyp, ref, as_tuple):
+    if as_tuple:
+        hyp, ref = tuple(hyp), tuple(ref)
+    assert bleu._ngram_counts(hyp) == slicing_ngram_counts(hyp)
+    assert bleu._clipped_matches(hyp, ref) == intersecting_clipped_matches(hyp, ref)
+
+
+def test_sentence_bleu_leaves_no_heap_behind():
+    # tuple shifts of 15-30-token lines would fill CPython's per-length tuple
+    # free lists and keep about 170 KiB after this loop; list slices keep ~20
+    rng = random.Random(11)
+    vocab = [f"w{i}" for i in range(300)]
+    lines = [
+        tuple(rng.choice(vocab) for _ in range(rng.randint(15, 30))) for _ in range(400)
+    ]
+    pairs = [(rng.choice(lines), rng.choice(lines)) for _ in range(2000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for hyp, ref in pairs:
+            sentence_bleu(hyp, ref)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 64 * 1024, kept

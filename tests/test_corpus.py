@@ -45,12 +45,12 @@ class TestLoadText:
         text = load_text(path, "en")
         assert len(text) == 2
         assert text.lines["MRK_1_1"] == ("a", "b")
-        assert text.line_ids == ["MRK_1_1", "MRK_1_2"]
+        assert list(text.lines) == ["MRK_1_1", "MRK_1_2"]
 
     def test_bare_format_synthesizes_indexes(self, tmp_path):
         path = write(tmp_path, "x.txt", "a b\nc\n")
         text = load_text(path, "en")
-        assert text.line_ids == ["0", "1"]
+        assert list(text.lines) == ["0", "1"]
         assert text.lines["1"] == ("c",)
 
     def test_duplicate_id_is_an_error(self, tmp_path):
@@ -78,11 +78,11 @@ class TestLoadText:
         path = tmp_path / "bom.txt"
         path.write_bytes("\ufeffV0\ta b\nV1\tc\n".encode("utf-8"))
         text = load_text(path, "x")
-        assert text.line_ids == ["V0", "V1"]
+        assert list(text.lines) == ["V0", "V1"]
         save_text(text, tmp_path / "copy.txt")
         assert load_text(tmp_path / "copy.txt", "x").lines == text.lines
         other = text_of("y", [("V0", "p"), ("V1", "q")])
-        assert intersect([text, other])[0].line_ids == ["V0", "V1"]
+        assert list(intersect([text, other])[0].lines) == ["V0", "V1"]
 
     def test_round_trip_is_byte_identical(self, tmp_path):
         original = write(tmp_path, "a.txt", "ID_1\ta b c\nID_2\td e\n")
@@ -250,8 +250,8 @@ class TestIntersect:
         a = text_of("a", [("1", "x"), ("2", "y"), ("3", "z")])
         b = text_of("b", [("2", "p"), ("3", "q"), ("4", "r")])
         out_a, out_b = intersect([a, b])
-        assert out_a.line_ids == ["2", "3"]
-        assert out_b.line_ids == ["2", "3"]
+        assert list(out_a.lines) == ["2", "3"]
+        assert list(out_b.lines) == ["2", "3"]
 
     def test_identical_texts_unchanged(self):
         a = text_of("a", [("1", "x"), ("2", "y")])
@@ -286,7 +286,7 @@ class TestIntersect:
         assert twice_a.lines == once_a.lines
         assert twice_b.lines == once_b.lines
         swapped_b, swapped_a = intersect([b, a])
-        assert set(swapped_a.line_ids) == set(once_a.line_ids)
+        assert set(swapped_a.lines) == set(once_a.lines)
 
 
 class TestSplit:
@@ -302,7 +302,7 @@ class TestSplit:
         parts = split(text, SplitSpec((("train", 0.95), ("val", 0.05))))
         assert len(parts["train"]) == 1038
         assert len(parts["val"]) == 55
-        assert parts["train"].line_ids[-1] == "1037"
+        assert list(parts["train"].lines)[-1] == "1037"
 
     def test_single_ratio_is_identity(self):
         text = text_of("a", [(str(i), f"t{i}") for i in range(7)])
@@ -321,9 +321,9 @@ class TestSplit:
         spec = SplitSpec((("train", 0.5), ("val", 0.5)), seed=3, mode="shuffled")
         first = split(text, spec)
         second = split(text, spec)
-        assert first["train"].line_ids == second["train"].line_ids
+        assert list(first["train"].lines) == list(second["train"].lines)
         other = split(text, SplitSpec((("train", 0.5), ("val", 0.5)), seed=4, mode="shuffled"))
-        assert other["train"].line_ids != first["train"].line_ids
+        assert list(other["train"].lines) != list(first["train"].lines)
 
     @given(
         n=st.integers(3, 120),
@@ -335,8 +335,8 @@ class TestSplit:
         text = text_of("a", [(str(i), f"t{i}") for i in range(n)])
         spec = SplitSpec((("x", 0.6), ("y", 0.4)), seed=seed, mode=mode)
         parts = split(text, spec)
-        all_ids = [lid for part in parts.values() for lid in part.line_ids]
-        assert sorted(all_ids, key=int) == text.line_ids
+        all_ids = [lid for part in parts.values() for lid in part.lines]
+        assert sorted(all_ids, key=int) == list(text.lines)
         assert len(set(all_ids)) == n
 
     def test_invalid_specs(self):

@@ -125,7 +125,7 @@ class TestSymmetrize:
         out = symmetrize(low, [view[lang] for lang in languages])
         assert set(out) == {"l0", "l1", "l2", "low"}
         for text in out.values():
-            assert text.line_ids == low.line_ids
+            assert list(text.lines) == list(low.lines)
 
     def test_missing_ids_are_named(self):
         low = ParallelText("low", {"a": ("x",), "b": ("y",)})

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -472,3 +474,31 @@ class TestFuzzyIndex:
         variant = forms[7][:-1] + "z"  # one substitution away from one form
         assert find_mentions([variant], "en", table, 2) == [Mention(0, 1, "e007", variant)]
         assert 0 < len(calls) < len(forms)
+
+    def test_alternating_languages_finds_what_a_scan_finds(self):
+        # each new token in the other language rebuilds that language's index
+        table = make_entity_table(20, ["en", "de"], random.Random(4))
+        for index, language in enumerate(["en", "de"] * 3):
+            tokens = [table.forms(f"e{index:03d}", language)[0][:-1] + "q"]
+            found = find_mentions(tokens, language, table, 2)
+            assert found
+            assert found == oracle_find_mentions(tokens, language, table, 2)
+
+    def test_table_holds_one_delete_index_at_a_time(self):
+        # one fuzzy query per language, languages one after another, as
+        # find_view_mentions searches them: memory stays at one index
+        languages = [f"l{index}" for index in range(6)]
+        table = make_entity_table(300, languages, random.Random(8))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            find_mentions(["Qzqzqzq"], languages[0], table, 2)
+            one_index = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for language in languages[1:]:
+                find_mentions(["Qzqzqzq"], language, table, 2)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * one_index, (held, one_index)
+        assert peak < 1.5 * one_index, (peak, one_index)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -218,7 +221,7 @@ class TestRankLanguages:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr("lowresmt.rank.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr("lowresmt.rank.os.cpu_count", lambda: 3)
         target = random_text("tgt", 60, seed=19)
         candidates = self.make_candidates(target, seed=19)
@@ -325,3 +328,18 @@ def test_cut_candidates_rank_as_full_ones(metric):
     ]
     assert skipped[0] == skipped[1]
     assert len(skipped[0][1]) == len(full)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a fresh interpreter: this test process has imported the pool already
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, lowresmt.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing'}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
