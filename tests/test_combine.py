@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from lowresmt.combine import (
     write_combine_report,
 )
 from lowresmt.corpus import ParallelText
+
+GOLDEN_REPORT = Path(__file__).parent / "fixtures" / "combine_golden.tsv"
 
 
 def oracle_similarity(a, b):
@@ -244,3 +247,37 @@ def test_centrality_is_the_index_ordered_similarity_sum(token_lists):
     assert choice.chosen_language == f"l{best:02d}"
     assert choice.chosen_tokens == candidates[best][1]
     assert choice.centrality == sums[best]
+
+
+def seeded_translations(seed=5, lines=200, languages=10, vocab_size=80):
+    """Paper-shaped clusters: noisy variants of one 15-30-token line per id.
+
+    About 2% of candidates are empty, about 10% copy an earlier candidate
+    of their line exactly, and line ``L100`` is empty in every language.
+    """
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(vocab_size)]
+    rows = [{} for _ in range(languages)]
+    for n in range(lines):
+        lid = f"L{n:03d}"
+        base = [rng.choice(vocab) for _ in range(rng.randint(15, 30))]
+        for j, row in enumerate(rows):
+            if n == 100 or rng.random() < 0.02:
+                row[lid] = ()
+            elif j and rng.random() < 0.1:
+                row[lid] = rows[rng.randrange(j)][lid]
+            else:
+                kept = base[: max(15, len(base) - rng.randint(0, 4))]
+                row[lid] = tuple(
+                    rng.choice(vocab) if rng.random() < 0.25 else token for token in kept
+                )
+    return [ParallelText(f"lang{j}", row) for j, row in enumerate(rows)]
+
+
+def test_report_is_byte_identical_to_the_golden_file(tmp_path):
+    # the golden file was written by the pair-by-pair ``similarity`` combiner;
+    # centralities are written with repr, so any float drift shows here
+    _, report = combine_corpus(seeded_translations())
+    path = tmp_path / "choices.tsv"
+    write_combine_report(report, path)
+    assert path.read_bytes() == GOLDEN_REPORT.read_bytes()
