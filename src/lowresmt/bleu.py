@@ -5,15 +5,20 @@ follows the standard modified-precision formulation with a brevity
 penalty; the sentence score add-one smooths every order above unigram so
 short hypotheses keep a usable signal.  Scores are in [0, 1].
 
-Each side's n-grams are counted once per call, in C: the tokens are
-shifted by 0 to MAX_ORDER-1 places and ``zip`` over the first ``order``
-shifts yields every gram of that order as a tuple, which ``Counter``
-counts straight from the iterator.  Clipping walks only the grams both
-sides share and adds the smaller count to that order's matches.  The
-shifts are list slices on purpose: CPython keeps up to 2,000 freed
-tuples of each length below 20, so tuple shifts of 15-30-token lines
-leave free lists of long tuples behind (about 170 KiB of traced heap
-after 2,000 calls, against about 20 KiB with list slices).
+Each side's n-grams are counted in C: the tokens are shifted by 0 to
+MAX_ORDER-1 places and ``zip`` over the first ``order`` shifts yields
+every gram of that order as a tuple, which ``Counter`` counts straight
+from the iterator.  ``sentence_bleu`` and ``corpus_bleu`` count both
+sides of each pair they are given; the combiner counts each candidate
+once and scores every pair from those counts through the same two
+helpers, ``_shared_matches`` (clipping) and ``_smoothed_bleu``
+(smoothing and brevity penalty).  Clipping walks only the grams both
+sides share and adds the smaller count to that order's matches, so one
+intersection serves both directions of a pair.  The shifts are list
+slices on purpose: CPython keeps up to 2,000 freed tuples of each length
+below 20, so tuple shifts of 15-30-token lines leave free lists of long
+tuples behind (about 170 KiB of traced heap after 2,000 calls, against
+about 20 KiB with list slices).
 """
 from __future__ import annotations
 
@@ -44,14 +49,21 @@ def _ngram_counts(tokens: Tokens) -> Counter:
     return Counter(chain.from_iterable(grams))
 
 
-def _clipped_matches(hypothesis: Tokens, reference: Tokens) -> list[int]:
-    """Clipped n-gram matches per order, index 0 holding unigrams."""
-    hyp = _ngram_counts(hypothesis)
-    ref = _ngram_counts(reference)
+def _shared_matches(hyp: Counter, ref: Counter) -> list[int]:
+    """Clipped n-gram matches per order from two ``_ngram_counts``, index 0 unigrams.
+
+    Symmetric in its arguments: the clipped count of a gram is the smaller
+    of its two counts.
+    """
     matches = [0] * MAX_ORDER
     for gram in hyp.keys() & ref.keys():
         matches[len(gram) - 1] += min(hyp[gram], ref[gram])
     return matches
+
+
+def _clipped_matches(hypothesis: Tokens, reference: Tokens) -> list[int]:
+    """Clipped n-gram matches per order, index 0 holding unigrams."""
+    return _shared_matches(_ngram_counts(hypothesis), _ngram_counts(reference))
 
 
 def brevity_penalty(hyp_len: int, ref_len: int) -> float:
@@ -104,9 +116,16 @@ def sentence_bleu(hypothesis: Tokens, reference: Tokens) -> float:
         return 1.0
     if not hypothesis or not reference:
         return 0.0
+    return _smoothed_bleu(
+        _clipped_matches(hypothesis, reference), len(hypothesis), len(reference)
+    )
+
+
+def _smoothed_bleu(matches: Sequence[int], hyp_len: int, ref_len: int) -> float:
+    """Sentence BLEU of a non-empty hypothesis and reference from their matches."""
     log_sum = 0.0
-    for order, match in enumerate(_clipped_matches(hypothesis, reference), start=1):
-        total = max(len(hypothesis) - order + 1, 0)
+    for order, match in enumerate(matches, start=1):
+        total = max(hyp_len - order + 1, 0)
         if order == 1:
             precision = match / total
         else:
@@ -114,4 +133,4 @@ def sentence_bleu(hypothesis: Tokens, reference: Tokens) -> float:
         if precision == 0.0:
             return 0.0
         log_sum += math.log(precision)
-    return brevity_penalty(len(hypothesis), len(reference)) * math.exp(log_sum / MAX_ORDER)
+    return brevity_penalty(hyp_len, ref_len) * math.exp(log_sum / MAX_ORDER)

@@ -4,17 +4,24 @@ Each line's candidates form a cluster; the kept translation is the one
 maximizing the sum of similarities to all other candidates, i.e. the
 cluster center.  Similarity is smoothed sentence BLEU averaged over both
 directions, which is symmetric and reference-free within the cluster.
-Each unordered pair is scored once and its similarity added to both
-candidates' sums, so a cluster of k costs k(k-1)/2 similarity calls,
-two sentence BLEU calls each.
+Each candidate's n-grams are counted once per cluster.  Each unordered
+pair is scored from one intersection of those counts, since clipped
+matches are symmetric, and smoothed once per direction, since the
+hypothesis length differs; its similarity is added to both candidates'
+sums.  A cluster of k therefore costs k counts and k(k-1)/2
+intersections.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .bleu import Tokens, sentence_bleu
+from .bleu import Tokens, _ngram_counts, _shared_matches, _smoothed_bleu
+# not called here; perfbench/tracing.py still probes it under this module's
+# name, until the benchmark's probes move
+from .bleu import sentence_bleu  # noqa: F401
 from .corpus import ParallelText, same_ids, write_lines
 
 
@@ -42,9 +49,18 @@ class CombineReport:
 
 def similarity(a: Tokens, b: Tokens) -> float:
     """Symmetric similarity in [0, 1]: sentence BLEU averaged both ways."""
-    if not a and not b:
-        return 1.0
-    return 0.5 * (sentence_bleu(a, b) + sentence_bleu(b, a))
+    return _pair_similarity(_ngram_counts(a), len(a), _ngram_counts(b), len(b))
+
+
+def _pair_similarity(a: Counter, a_len: int, b: Counter, b_len: int) -> float:
+    """``similarity`` from each side's ``_ngram_counts`` and length.
+
+    Two empty sides score 1.0 and one empty side 0.0, as sentence BLEU does.
+    """
+    if not a_len or not b_len:
+        return 1.0 if a_len == b_len else 0.0
+    matches = _shared_matches(a, b)
+    return 0.5 * (_smoothed_bleu(matches, a_len, b_len) + _smoothed_bleu(matches, b_len, a_len))
 
 
 def select_center(cluster: TranslationCluster) -> CentroidChoice:
@@ -57,10 +73,12 @@ def select_center(cluster: TranslationCluster) -> CentroidChoice:
     if not candidates:
         raise ValueError(f"empty cluster for line {cluster.line_id!r}")
     k = len(candidates)
+    counts = [_ngram_counts(tokens) for _, tokens in candidates]
+    lengths = [len(tokens) for _, tokens in candidates]
     scores = [0.0] * k
     for i in range(k):
         for j in range(i + 1, k):
-            value = similarity(candidates[i][1], candidates[j][1])
+            value = _pair_similarity(counts[i], lengths[i], counts[j], lengths[j])
             scores[i] += value
             scores[j] += value
     best = max(range(k), key=scores.__getitem__)

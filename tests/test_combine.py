@@ -1,11 +1,14 @@
+import gc
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lowresmt import bleu, combine
 from lowresmt.combine import (
     CentroidChoice,
     TranslationCluster,
@@ -281,3 +284,42 @@ def test_report_is_byte_identical_to_the_golden_file(tmp_path):
     path = tmp_path / "choices.tsv"
     write_combine_report(report, path)
     assert path.read_bytes() == GOLDEN_REPORT.read_bytes()
+
+
+def test_select_center_counts_each_candidate_once(monkeypatch):
+    # bleu's name is patched too, so counts made inside sentence BLEU calls add up
+    counted = []
+    real_counts = bleu._ngram_counts
+
+    def counting(tokens):
+        counted.append(tuple(tokens))
+        return real_counts(tokens)
+
+    monkeypatch.setattr(bleu, "_ngram_counts", counting)
+    monkeypatch.setattr(combine, "_ngram_counts", counting)
+    rng = random.Random(4)
+    for sentences in (random_sentences(rng, 7), random_sentences(rng, 5) + [[], []]):
+        counted.clear()
+        select_center(cluster_of("L", sentences))
+        assert sorted(counted) == sorted(tuple(s) for s in sentences)
+
+
+def test_combine_corpus_keeps_no_counts_past_their_cluster():
+    # gc.collect() also empties CPython's tuple free lists, so what is traced
+    # after it is the result plus anything the call kept elsewhere; a cluster's
+    # counts alone take several KiB
+    translations = seeded_translations(seed=9, lines=300)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = combine_corpus(translations)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+        del result
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 64 * 1024, kept
+    assert held - kept <= 300 * 1024, held - kept
