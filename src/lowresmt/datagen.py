@@ -13,10 +13,18 @@ placeholders and tags are first-class vocabulary items; the shared
 vocabulary covers every token any stage writes.  Output order is
 pair-major then line-minor and writes are byte-deterministic: two runs
 over the same inputs produce identical files, which the manifest
-checksums pin down.  Each split's two files are written in lockstep
-through ``corpus.open_output``: they reach their final names only when
-complete, and their checksums are those of the bytes as written, so no
-file is read back.
+checksums pin down.
+
+Pairs run source-major.  A split renders each source language's lines
+once (``render_sources``: the template and its binding), joins them
+once, and reuses those strings for all k-1 targets, so a line costs one
+rendering per language and split, not one per example.  A target line is
+rendered (``pair_templates``) only where both sides hold mentions;
+otherwise it is the plain join.  Each pair reaches each of the split's
+two files as one block write through ``corpus.open_output``: the files
+reach their final names only when complete, and their checksums are
+those of the bytes as written, so no file is read back.  The writer
+holds one source language's strings and one pair's block at a time.
 """
 from __future__ import annotations
 
@@ -28,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import ParallelText, SplitSpec, intersect, open_output, restrict, same_ids, write_lines
 from .corpus import split as split_corpus
-from .lexicon import LexiconTable, Mention, find_mentions, pair_templates, placeholder
+from .lexicon import LexiconTable, Mention, bind, find_mentions, placeholder, render_template
 
 SRC_TAG_PREFIX = "__opt_src_"
 TGT_TAG_PREFIX = "__opt_tgt_"
@@ -36,6 +44,8 @@ TGT_TAG_PREFIX = "__opt_tgt_"
 View = Mapping[str, ParallelText]
 # language -> line id -> mentions; covers every language and line emitted
 Mentions = Mapping[str, Mapping[str, Sequence[Mention]]]
+# a line as a source side: its template and its entity id -> placeholder binding
+SourceSide = tuple[tuple[str, ...], dict[str, str]]
 
 
 def check_language_code(code: str) -> None:
@@ -120,15 +130,56 @@ def _check_view(languages: Sequence[str], view: View) -> list[str]:
     return same_ids([view[lang] for lang in languages])
 
 
-def _pair_lines(view, src, tgt, line_ids, mentions):
-    tag = DirectionTag(src, tgt).render()
-    for lid in line_ids:
-        src_tokens, tgt_tokens = view[src].lines[lid], view[tgt].lines[lid]
-        if mentions is not None:
-            src_tokens, tgt_tokens = pair_templates(
-                src_tokens, mentions[src][lid], tgt_tokens, mentions[tgt][lid]
-            )
-        yield f"{tag} {' '.join(src_tokens)}", " ".join(tgt_tokens)
+def render_sources(
+    text: ParallelText, mentions: Mentions | None, ids: Iterable[str]
+) -> list[SourceSide]:
+    """Each line of ``ids`` as a source side: its template and its binding.
+
+    A line with mentions binds them (``bind``) and renders its template;
+    a line without is its own tokens, bound to nothing.  The writer
+    renders each language's lines once per split and reuses them for
+    every target; the shared vocabulary counts the same templates.
+    """
+    lines = text.lines
+    if mentions is None:
+        return [(lines[lid], {}) for lid in ids]
+    found = mentions[text.language]
+    rendered = []
+    for lid in ids:
+        line_mentions = found[lid]
+        if line_mentions:
+            binding = bind(line_mentions)
+            rendered.append((render_template(lines[lid], line_mentions, binding), binding))
+        else:
+            rendered.append((lines[lid], {}))
+    return rendered
+
+
+def pair_templates(
+    sources: Sequence[SourceSide],
+    target: ParallelText,
+    mentions: Mentions | None,
+    ids: Sequence[str],
+) -> list[str]:
+    """One pair's target sides, line by line, for ``sources`` from ``render_sources``.
+
+    A target line reuses its source line's binding, so reordered
+    mentions keep their indices; target-only entities stay as surfaces.
+    Only a line whose two sides both hold mentions is rendered; any
+    other is the plain join.
+    """
+    lines = target.lines
+    if mentions is None:
+        return [" ".join(lines[lid]) for lid in ids]
+    found = mentions[target.language]
+    out = []
+    for (_, binding), lid in zip(sources, ids):
+        line_mentions = found[lid]
+        if binding and line_mentions:
+            out.append(" ".join(render_template(lines[lid], line_mentions, binding)))
+        else:
+            out.append(" ".join(lines[lid]))
+    return out
 
 
 def _write_split(
@@ -141,19 +192,23 @@ def _write_split(
 ) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    count = 0
     src_name, tgt_name = f"{split_name}.src", f"{split_name}.tgt"
+    source = None
     with (
         open_output(out_dir / src_name) as (src_file, src_digest),
         open_output(out_dir / tgt_name) as (tgt_file, tgt_digest),
     ):
+        # pairs come source-major, so each source is rendered once per split
         for a, b in pairs:
-            for src_line, tgt_line in _pair_lines(view, a, b, ids, mentions):
-                src_file.write(src_line + "\n")
-                tgt_file.write(tgt_line + "\n")
-                count += 1
+            if a != source:
+                source, rendered = a, render_sources(view[a], mentions, ids)
+                joined = [" ".join(template) for template, _ in rendered]
+            tag = DirectionTag(a, b).render()
+            targets = pair_templates(rendered, view[b], mentions, ids)
+            src_file.write("".join([f"{tag} {line}\n" for line in joined]))
+            tgt_file.write("".join([f"{line}\n" for line in targets]))
     return {
-        "examples": count,
+        "examples": len(pairs) * len(ids),
         "src": src_name,
         "tgt": tgt_name,
         "src_sha256": src_digest.hexdigest(),

@@ -79,7 +79,8 @@ class LexiconTable:
         self._exact: dict[str, dict[str, list[tuple[tuple[str, ...], str]]]] = {}
         self._deletes_key: tuple[str, int] | None = None
         self._deletes: dict[str, list[tuple[str, str, str]]] = {}
-        self._fuzzy_cache: dict[tuple[str, str, int], str | None] = {}
+        # (language, edit threshold) -> token -> fuzzy match, as find_mentions memoizes it
+        self._fuzzy_cache: dict[tuple[str, int], dict[str, str | None]] = {}
 
     def __len__(self) -> int:
         return len(self.entities)
@@ -196,9 +197,12 @@ def find_mentions(
     ``LexiconTable.deletes`` are checked with ``levenshtein``.  The first
     fuzzy query of a language builds that index (about 1 + L + L(L-1)/2
     keys per form of length L at threshold 2) in place of the one the
-    table held; results are memoized per token.
+    table held.  Results are memoized in the table per (language,
+    threshold), so each distinct token is searched once however often it
+    recurs.
     """
     exact = table.exact(language)
+    fuzzy = table._fuzzy_cache.setdefault((language, edit_threshold), {})
     mentions: list[Mention] = []
     pos = 0
     n = len(tokens)
@@ -210,7 +214,11 @@ def find_mentions(
                 matched = Mention(pos, end, entity_id, " ".join(tokens[pos:end]))
                 break
         if matched is None and edit_threshold > 0:
-            entity_id = _fuzzy_entity(tokens[pos], language, table, edit_threshold)
+            token = tokens[pos]
+            if token in fuzzy:
+                entity_id = fuzzy[token]
+            else:
+                entity_id = fuzzy[token] = _fuzzy_entity(token, language, table, edit_threshold)
             if entity_id is not None:
                 matched = Mention(pos, pos + 1, entity_id, tokens[pos])
         if matched is not None:
@@ -224,10 +232,6 @@ def find_mentions(
 def _fuzzy_entity(
     token: str, language: str, table: LexiconTable, edit_threshold: int
 ) -> str | None:
-    # memoized per table: the same tokens recur across a corpus
-    cache_key = (language, token, edit_threshold)
-    if cache_key in table._fuzzy_cache:
-        return table._fuzzy_cache[cache_key]
     cap = min(edit_threshold, math.ceil(len(token) / 3))
     token_cf = token.casefold()
     deletes = table.deletes(language, edit_threshold)
@@ -238,7 +242,6 @@ def _fuzzy_entity(
         for form_cf, form, entity_id in hits
     )
     _, best_entity, _ = min((key for key in keys if key[0] <= cap), default=(None, None, None))
-    table._fuzzy_cache[cache_key] = best_entity
     return best_entity
 
 
@@ -288,24 +291,6 @@ def tag_sentence(
         source_dict.setdefault(binding[mention.entity_id], (mention.entity_id, mention.surface))
     return TaggedSentence(
         template=render_template(tokens, mentions, binding), source_dict=source_dict
-    )
-
-
-def pair_templates(
-    source_tokens: Tokens,
-    source_mentions: Sequence[Mention],
-    target_tokens: Tokens,
-    target_mentions: Sequence[Mention],
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Templates for a training pair, numbering bound on the source side.
-
-    The target reuses the source's entity -> index binding so reordered
-    mentions keep their indices; target-only entities stay as surfaces.
-    """
-    binding = bind(source_mentions)
-    return (
-        render_template(source_tokens, source_mentions, binding),
-        render_template(target_tokens, target_mentions, binding),
     )
 
 

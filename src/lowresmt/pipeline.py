@@ -24,10 +24,11 @@ from .datagen import (
     emit_stage,
     file_sha256,
     find_view_mentions,
+    render_sources,
     unbound_surfaces,
     write_vocab,
 )
-from .lexicon import bind, load_lexicon, render_template
+from .lexicon import load_lexicon
 from .rank import (
     FAMO_PLUS,
     METRICS,
@@ -194,11 +195,12 @@ def build_shared_vocab(
 ) -> Vocabulary:
     """One vocabulary for all stages, holding every token any stage writes.
 
-    Counts come from each line rendered as a source side, one language
-    at a time; that template holds every placeholder the line's pairs
-    write.  Surfaces left on target sides join at count zero, over
-    stage 1 (the family) and stage 2 (family plus target, whose pairs
-    include stage 3's).
+    Counts come from each line rendered as a source side by
+    ``render_sources``, the writer's own rendering, one language at a
+    time; that template holds every placeholder the line's pairs write.
+    Surfaces left on target sides join at count zero, over stage 1 (the
+    family) and stage 2 (family plus target, whose pairs include stage
+    3's).
     """
     languages = [*family.members, config.target]
     tags = [DirectionTag(a, b) for a in languages for b in languages if a != b]
@@ -206,8 +208,10 @@ def build_shared_vocab(
         return build_vocab([corpora[lang] for lang in languages], tags, config.max_ne)
     templates = (
         ParallelText(lang, {
-            lid: render_template(tokens, mentions[lang][lid], bind(mentions[lang][lid]))
-            for lid, tokens in corpora[lang].lines.items()
+            lid: template
+            for lid, (template, _) in zip(
+                corpora[lang].lines, render_sources(corpora[lang], mentions, corpora[lang].lines)
+            )
         })
         for lang in languages
     )

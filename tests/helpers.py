@@ -9,7 +9,7 @@ import random
 
 from lowresmt.align import WordStatistics
 from lowresmt.corpus import ParallelText, read_rows
-from lowresmt.lexicon import LexiconTable
+from lowresmt.lexicon import LexiconTable, bind, render_template
 from lowresmt.synth import make_vocab
 
 FILLER_ALPHABET = "abcdefghijklm"
@@ -55,6 +55,31 @@ def entity_sentence(
         if any(table.forms(eid, language)[0] == token for eid in entity_ids)
     ]
     return tokens, ordered
+
+
+def oracle_pair_templates(source_tokens, source_mentions, target_tokens, target_mentions):
+    """Templates for one training pair, numbering bound on the source side, example by example."""
+    binding = bind(source_mentions)
+    return (
+        render_template(source_tokens, source_mentions, binding),
+        render_template(target_tokens, target_mentions, binding),
+    )
+
+
+def oracle_split_bytes(pairs, view, mentions) -> tuple[bytes, bytes]:
+    """The ``.src`` and ``.tgt`` bytes of one split, rendered one example at a time."""
+    ids = list(view[pairs[0][0]].lines)
+    src_lines, tgt_lines = [], []
+    for src, tgt in pairs:
+        for lid in ids:
+            src_tokens, tgt_tokens = view[src].lines[lid], view[tgt].lines[lid]
+            if mentions is not None:
+                src_tokens, tgt_tokens = oracle_pair_templates(
+                    src_tokens, mentions[src][lid], tgt_tokens, mentions[tgt][lid]
+                )
+            src_lines.append(f"__opt_src_{src} __opt_tgt_{tgt} {' '.join(src_tokens)}\n")
+            tgt_lines.append(f"{' '.join(tgt_tokens)}\n")
+    return "".join(src_lines).encode("utf-8"), "".join(tgt_lines).encode("utf-8")
 
 
 def parallel_from_lines(language: str, rows: list[tuple[str, list[str]]]) -> ParallelText:

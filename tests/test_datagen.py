@@ -1,5 +1,12 @@
-import pytest
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lowresmt.datagen
+from helpers import oracle_split_bytes
 from lowresmt.corpus import ParallelText, SplitSpec
 from lowresmt.datagen import (
     DirectionTag,
@@ -287,3 +294,79 @@ class TestEmitStage:
         tgt = (tmp_path / "train.tgt").read_text().splitlines()
         assert src[0] == "__opt_src_f0 __opt_tgt_f1 __NE0 speaks"
         assert tgt[0] == "spricht __NE0"
+
+
+FILLER = ("abba", "cede", "fig", "hijk", "lamb")
+
+
+def surface(entity: int, language: str) -> str:
+    """An entity's one form per language; the first entity's form is two tokens."""
+    return f"Qu{entity}x{language}" + (" Vor" if entity == 0 else "")
+
+
+@st.composite
+def tagged_views(draw):
+    """2 to 4 languages over 1 to 5 shared lines, each line drawn per language.
+
+    Lines mix filler and entity surfaces freely, so a line may hold no
+    mention, repeat an entity, order its entities unlike another
+    language's line, or mention entities the other sides lack.
+    """
+    languages = [f"l{index}" for index in range(draw(st.integers(2, 4)))]
+    n_entities = 4
+    table = LexiconTable({
+        f"e{entity}": {lang: [surface(entity, lang)] for lang in languages}
+        for entity in range(n_entities)
+    })
+    item = st.one_of(st.sampled_from(FILLER), st.integers(0, n_entities - 1))
+    ids = [f"v{index}" for index in range(draw(st.integers(1, 5)))]
+    view = {}
+    for lang in languages:
+        lines = {}
+        for lid in ids:
+            items = draw(st.lists(item, min_size=1, max_size=6))
+            text = " ".join(i if isinstance(i, str) else surface(i, lang) for i in items)
+            lines[lid] = tuple(text.split())
+        view[lang] = ParallelText(lang, lines)
+    return languages, view, table
+
+
+@pytest.mark.parametrize("configuration", ["complete", "star"])
+@given(case=tagged_views(), tagged=st.booleans())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_block_writer_matches_the_per_example_oracle(configuration, case, tagged):
+    languages, view, table = case
+    mentions = find_view_mentions(view, table) if tagged else None
+    if configuration == "complete":
+        pairs = [(a, b) for a in languages for b in languages if a != b]
+    else:
+        pairs = [(a, languages[-1]) for a in languages[:-1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        if configuration == "complete":
+            entry = emit_complete(languages, view, out, "train", mentions=mentions)
+        else:
+            entry = emit_star(languages[:-1], languages[-1], view, out, "train", mentions=mentions)
+        written = ((out / "train.src").read_bytes(), (out / "train.tgt").read_bytes())
+    assert written == oracle_split_bytes(pairs, view, mentions)
+    assert entry["examples"] == len(pairs) * len(view[languages[0]])
+
+
+def test_each_language_line_is_bound_once_per_split(monkeypatch, tmp_path):
+    calls = []
+    bind = lowresmt.datagen.bind
+
+    def counting(mentions):
+        calls.append(mentions)
+        return bind(mentions)
+
+    monkeypatch.setattr(lowresmt.datagen, "bind", counting)
+    languages = ["l0", "l1", "l2"]
+    table = LexiconTable({"e1": {lang: [f"Zorb{lang}"] for lang in languages}})
+    view = {
+        lang: ParallelText(lang, {f"i{j}": (f"Zorb{lang}", f"w{j}") for j in range(4)})
+        for lang in languages
+    }
+    entry = emit_complete(languages, view, tmp_path, "train", mentions=find_view_mentions(view, table))
+    assert entry["examples"] == 3 * 2 * 4
+    assert len(calls) == 3 * 4

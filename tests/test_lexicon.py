@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 import lowresmt.lexicon
 from helpers import make_entity_table, make_filler_words
+from lowresmt.corpus import ParallelText
+from lowresmt.datagen import pair_templates, render_sources
 from lowresmt.lexicon import (
     LexiconTable,
     Mention,
@@ -17,11 +20,23 @@ from lowresmt.lexicon import (
     is_placeholder,
     levenshtein,
     load_lexicon,
-    pair_templates,
     placeholder,
     render_template,
     tag_sentence,
 )
+
+
+def pair_sides(table, src, src_language, tgt, tgt_language):
+    """The source and target side the stage writer emits for one line pair, untagged."""
+    source = ParallelText(src_language, {"0": tuple(src)})
+    target = ParallelText(tgt_language, {"0": tuple(tgt)})
+    mentions = {
+        src_language: {"0": find_mentions(src, src_language, table)},
+        tgt_language: {"0": find_mentions(tgt, tgt_language, table)},
+    }
+    rendered = render_sources(source, mentions, ["0"])
+    [tgt_line] = pair_templates(rendered, target, mentions, ["0"])
+    return " ".join(rendered[0][0]), tgt_line
 
 
 def oracle_levenshtein(a, b):
@@ -127,10 +142,8 @@ class TestLoadLexicon:
         table = load_lexicon(path)
         assert list(table.entities) == ["e1"]
         src, tgt = ["Ana", "sings"], ["Anna", "singt"]
-        _, tgt_template = pair_templates(
-            src, find_mentions(src, "en", table), tgt, find_mentions(tgt, "de", table)
-        )
-        assert tgt_template == ("__NE0", "singt")
+        _, tgt_line = pair_sides(table, src, "en", tgt, "de")
+        assert tgt_line == "__NE0 singt"
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -269,14 +282,9 @@ class TestPairTemplates:
         )
         src = "Ana calls Bodo".split()
         tgt = "Bodo wird von Anna gerufen".split()
-        src_template, tgt_template = pair_templates(
-            src,
-            find_mentions(src, "en", table),
-            tgt,
-            find_mentions(tgt, "de", table),
-        )
-        assert src_template == ("__NE0", "calls", "__NE1")
-        assert tgt_template == ("__NE1", "wird", "von", "__NE0", "gerufen")
+        src_line, tgt_line = pair_sides(table, src, "en", tgt, "de")
+        assert src_line == "__NE0 calls __NE1"
+        assert tgt_line == "__NE1 wird von __NE0 gerufen"
 
     def test_target_only_entity_keeps_surface(self):
         table = LexiconTable(
@@ -284,13 +292,8 @@ class TestPairTemplates:
         )
         src = "Ana sings".split()
         tgt = "Anna singt mit Bodo".split()
-        _, tgt_template = pair_templates(
-            src,
-            find_mentions(src, "en", table),
-            tgt,
-            find_mentions(tgt, "de", table),
-        )
-        assert tgt_template == ("__NE0", "singt", "mit", "Bodo")
+        _, tgt_line = pair_sides(table, src, "en", tgt, "de")
+        assert tgt_line == "__NE0 singt mit Bodo"
 
 
 class TestProperties:
@@ -355,10 +358,8 @@ class TestProperties:
                 tokens.insert(rng.randint(0, len(tokens)), table.forms(entity_id, lang)[0])
             sides[lang] = tokens
         src, tgt = sides["src"], sides["tgt"]
-        src_template, _ = pair_templates(
-            src, find_mentions(src, "src", table), tgt, find_mentions(tgt, "tgt", table)
-        )
-        assert tag_sentence(src, "src", table).template == src_template
+        src_line, _ = pair_sides(table, src, "src", tgt, "tgt")
+        assert " ".join(tag_sentence(src, "src", table).template) == src_line
 
     def test_levenshtein_matches_oracle(self):
         rng = random.Random(3)
@@ -474,6 +475,26 @@ class TestFuzzyIndex:
         variant = forms[7][:-1] + "z"  # one substitution away from one form
         assert find_mentions([variant], "en", table, 2) == [Mention(0, 1, "e007", variant)]
         assert 0 < len(calls) < len(forms)
+
+    def test_fuzzy_search_runs_once_per_distinct_language_and_token(self, monkeypatch):
+        calls = Counter()
+        fuzzy_entity = lowresmt.lexicon._fuzzy_entity
+
+        def counting(token, language, *args):
+            calls[language, token] += 1
+            return fuzzy_entity(token, language, *args)
+
+        monkeypatch.setattr(lowresmt.lexicon, "_fuzzy_entity", counting)
+        table = LexiconTable({"e1": {"en": ["Andika"], "de": ["Andiko"]}})
+        lines = [["Andiko", "calls", "Andika"], ["calls", "Andiko", "Andiko"], ["Andika"]]
+        for _ in range(3):
+            for language in ("en", "de"):
+                for tokens in lines:
+                    find_mentions(tokens, language, table, 2)
+        # every token but each language's exact form goes to the fuzzy search
+        assert calls == {
+            ("en", "Andiko"): 1, ("en", "calls"): 1, ("de", "Andika"): 1, ("de", "calls"): 1,
+        }
 
     def test_alternating_languages_finds_what_a_scan_finds(self):
         # each new token in the other language rebuilds that language's index

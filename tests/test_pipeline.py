@@ -158,10 +158,12 @@ def test_crash_midway_through_stage1_leaves_no_partial_file(monkeypatch, tmp_pat
     calls = 0
     pending_bytes = []
 
+    # the fixture family has four members: the stage-1 train split writes 12
+    # pairs, one call each, so the 9th call falls after 8 pairs reached the files
     def crashing(*args):
         nonlocal calls
         calls += 1
-        if calls == 2000:
+        if calls == 9:
             pending_bytes.append(sum(path.stat().st_size for path in tmp_path.rglob("*.tmp")))
             raise RuntimeError("killed halfway")
         return pair_templates(*args)
