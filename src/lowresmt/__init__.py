@@ -19,7 +19,6 @@ from .corpus import ParallelText, SplitSpec, intersect, load_candidates, load_te
 from .datagen import (
     DirectionTag,
     StageSpec,
-    Vocabulary,
     build_vocab,
     emit_complete,
     emit_star,

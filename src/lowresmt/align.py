@@ -194,24 +194,19 @@ def collect_statistics(model: AlignmentModel, bitext: Bitext) -> AlignmentStatis
         lengths[len(src)] += 1
         for s in src:
             tallies.setdefault(s, [0, 0, 0, 0])
-        alignment = viterbi_align(model, (src, tgt))
-        distortion: dict[int, int] = {}
-        by_source: dict[int, list[int]] = {}
+        # per linked source position: does each of its links continue monotonically?
+        monotone: dict[int, list[bool]] = {}
         prev_i = -1
-        for i, j in alignment.links:
-            distortion[j] = (i - prev_i) - 1
+        for i, _ in viterbi_align(model, (src, tgt)).links:
+            monotone.setdefault(i, []).append(i == prev_i + 1)
             prev_i = i
-            by_source.setdefault(i, []).append(j)
-        for i, linked in by_source.items():
+        for i, steps in monotone.items():
             tally = tallies[src[i]]
+            fert1, dist0 = len(steps) == 1, all(steps)
             tally[0] += 1
-            monotone = all(distortion[j] == 0 for j in linked)
-            if len(linked) == 1:
-                tally[1] += 1
-                if monotone:
-                    tally[3] += 1
-            if monotone:
-                tally[2] += 1
+            tally[1] += fert1
+            tally[2] += dist0
+            tally[3] += fert1 and dist0
     words = {
         word: WordStatistics(
             n_obs=n,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -72,23 +72,6 @@ class DirectionTag:
 
     def render(self) -> str:
         return " ".join(self.tokens())
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Token types in frequency-descending then lexicographic order."""
-
-    tokens: tuple[str, ...]
-    _index: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", frozenset(self.tokens))
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
 
 @dataclass(frozen=True)
@@ -270,20 +253,20 @@ def symmetrize(low: ParallelText, sources: Sequence[ParallelText]) -> dict[str, 
 
 
 def build_vocab(
-    texts: Iterable[ParallelText],
+    lines: Iterable[Sequence[str]],
     tags: Iterable[DirectionTag] = (),
     max_ne: int = 0,
     extra: Iterable[str] = (),
-) -> Vocabulary:
-    """Union of token types over all inputs plus tag, placeholder and extra tokens.
+) -> tuple[str, ...]:
+    """Token types of ``lines`` plus tag, placeholder and ``extra`` tokens.
 
-    Order is frequency-descending, ties lexicographic; tokens absent
-    from the texts sort at the tail with count zero.
+    ``lines`` is any iterable of token sequences.  The result is the
+    vocabulary as a tuple, frequency-descending with ties lexicographic;
+    tokens absent from ``lines`` sort at the tail with count zero.
     """
     counts: Counter = Counter()
-    for text in texts:
-        for tokens in text.lines.values():
-            counts.update(tokens)
+    for tokens in lines:
+        counts.update(tokens)
     for tag in tags:
         for token in tag.tokens():
             counts[token] += 0
@@ -291,13 +274,12 @@ def build_vocab(
         counts[placeholder(index)] += 0
     for token in extra:
         counts[token] += 0
-    ordered = sorted(counts, key=lambda token: (-counts[token], token))
-    return Vocabulary(tokens=tuple(ordered))
+    return tuple(sorted(counts, key=lambda token: (-counts[token], token)))
 
 
-def write_vocab(vocab: Vocabulary, path: str | Path) -> str:
-    """Write one token per line; return the file's sha256."""
-    return write_lines(path, vocab.tokens)
+def write_vocab(vocab: Sequence[str], path: str | Path) -> str:
+    """Write ``vocab``, one token per line; return the file's sha256."""
+    return write_lines(path, vocab)
 
 
 def find_view_mentions(

@@ -18,7 +18,6 @@ from .datagen import (
     DirectionTag,
     Mentions,
     StageSpec,
-    Vocabulary,
     build_vocab,
     check_language_code,
     emit_stage,
@@ -192,28 +191,27 @@ def build_shared_vocab(
     corpora: dict[str, ParallelText],
     family: FamilyOfChoice,
     mentions: Mentions | None,
-) -> Vocabulary:
+) -> tuple[str, ...]:
     """One vocabulary for all stages, holding every token any stage writes.
 
+    Takes the family's and the target's corpora and their mentions
+    (``None`` without a lexicon); returns ``build_vocab``'s token tuple.
     Counts come from each line rendered as a source side by
     ``render_sources``, the writer's own rendering, one language at a
     time; that template holds every placeholder the line's pairs write.
-    Surfaces left on target sides join at count zero, over stage 1 (the
-    family) and stage 2 (family plus target, whose pairs include stage
-    3's).
+    Without mentions the lines are counted as they are.  Surfaces left
+    on target sides join at count zero, over stage 1 (the family) and
+    stage 2 (family plus target, whose pairs include stage 3's).
     """
     languages = [*family.members, config.target]
     tags = [DirectionTag(a, b) for a in languages for b in languages if a != b]
     if mentions is None:
-        return build_vocab([corpora[lang] for lang in languages], tags, config.max_ne)
+        lines = (tokens for lang in languages for tokens in corpora[lang].lines.values())
+        return build_vocab(lines, tags, config.max_ne)
     templates = (
-        ParallelText(lang, {
-            lid: template
-            for lid, (template, _) in zip(
-                corpora[lang].lines, render_sources(corpora[lang], mentions, corpora[lang].lines)
-            )
-        })
+        template
         for lang in languages
+        for template, _ in render_sources(corpora[lang], mentions, corpora[lang].lines)
     )
     unbound = unbound_surfaces(family.members, mentions) | unbound_surfaces(languages, mentions)
     return build_vocab(templates, tags, config.max_ne, unbound)

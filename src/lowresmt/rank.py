@@ -4,9 +4,14 @@ Two metrics over the shared lines of candidate and target.  The
 distortion metric (famd) measures how monotone the trained word
 alignments stay: the frequency-weighted rate of zero-distortion source
 occurrences.  The performance metric (famp) scores a bare
-word-replacement decoder with corpus BLEU on a held-out tail.  EM
-training dominates: either metric takes about 5-5.5 s per candidate on
-1,000 target lines of 15-30 tokens over 2,000 word types with 10 EM
+word-replacement decoder with corpus BLEU on a held-out tail.  One
+skip rule covers both: a candidate sharing fewer lines with the target
+than the caller's minimum, or than its metric needs (1 for famd, which
+trains on them; 2 for famp, which also holds one out), is skipped with
+its shared-line count rather than scored.
+
+EM training dominates: either metric takes about 5-5.5 s per candidate
+on 1,000 target lines of 15-30 tokens over 2,000 word types with 10 EM
 iterations (2 CPUs, Python 3.11), so ~100 candidates take about 9
 minutes serially; candidates score independently and may be fanned out
 over a worker pool.
@@ -134,18 +139,14 @@ def famp_score(
 def _score_candidate(job) -> tuple[str, float | None, str | None]:
     candidate, target, metric, min_shared, iterations = job
     pairs = bitext(candidate, target)
-    if len(pairs) < min_shared:
-        return (
-            candidate.language,
-            None,
-            f"only {len(pairs)} shared lines (minimum {min_shared})",
-        )
+    # famd trains on one line at least; famp also holds one out
+    needed = max(min_shared, 1 if metric == FAMD else 2)
+    if len(pairs) < needed:
+        return candidate.language, None, f"only {len(pairs)} shared lines (minimum {needed})"
     if metric == FAMD:
         model = train_alignment(pairs, iterations)
         stats = collect_statistics(model, pairs)
         return candidate.language, famd_score(stats), None
-    if len(pairs) < 2:
-        return candidate.language, None, "too few shared lines to hold any out"
     n_train = min(max(math.floor(len(pairs) * TRAIN_FRACTION + 1e-9), 1), len(pairs) - 1)
     train, heldout = pairs[:n_train], pairs[n_train:]
     model = train_alignment(train, iterations)
@@ -167,10 +168,11 @@ def rank_languages(
     One alignment model is trained per candidate on the lines it shares
     with the target (candidate as source side).  For famp the shared
     lines split 90/10 contiguously: train on the head, score on the
-    tail.  Candidates sharing fewer than ``min_shared_lines`` are
-    excluded and returned in the skip report.  The pool never holds more
-    processes than candidates or CPUs.  Output is independent of
-    candidate input order up to the language-code tie-break.
+    tail.  A candidate sharing fewer lines than ``min_shared_lines``, or
+    than its metric needs (1 for famd, 2 for famp), is excluded and
+    returned in the skip report.  The pool never holds more processes
+    than candidates or CPUs.  Output is independent of candidate input
+    order up to the language-code tie-break.
     """
     metric = metric.upper()
     if metric not in METRICS:

@@ -6,8 +6,9 @@ ranges so fuzzy entity matching can never fire on filler by accident.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from lowresmt.align import WordStatistics
+from lowresmt.align import AlignmentStatistics, WordStatistics, viterbi_align
 from lowresmt.corpus import ParallelText, read_rows
 from lowresmt.lexicon import LexiconTable, bind, render_template
 from lowresmt.synth import make_vocab
@@ -80,6 +81,45 @@ def oracle_split_bytes(pairs, view, mentions) -> tuple[bytes, bytes]:
             src_lines.append(f"__opt_src_{src} __opt_tgt_{tgt} {' '.join(src_tokens)}\n")
             tgt_lines.append(f"{' '.join(tgt_tokens)}\n")
     return "".join(src_lines).encode("utf-8"), "".join(tgt_lines).encode("utf-8")
+
+
+def oracle_statistics(model, bitext) -> AlignmentStatistics:
+    """``collect_statistics`` recounted from a distortion value per target link."""
+    tallies: dict[str, list[int]] = {}
+    lengths: Counter = Counter()
+    for src, tgt in bitext:
+        if not src or not tgt:
+            continue
+        lengths[len(src)] += 1
+        for s in src:
+            tallies.setdefault(s, [0, 0, 0, 0])
+        distortion: dict[int, int] = {}
+        by_source: dict[int, list[int]] = {}
+        prev_i = -1
+        for i, j in viterbi_align(model, (src, tgt)).links:
+            distortion[j] = (i - prev_i) - 1
+            prev_i = i
+            by_source.setdefault(i, []).append(j)
+        for i, linked in by_source.items():
+            tally = tallies[src[i]]
+            tally[0] += 1
+            monotone = all(distortion[j] == 0 for j in linked)
+            if len(linked) == 1:
+                tally[1] += 1
+                if monotone:
+                    tally[3] += 1
+            if monotone:
+                tally[2] += 1
+    words = {
+        word: WordStatistics(
+            n_obs=n,
+            p_fert1=f / n if n else 0.0,
+            p_dist0=d / n if n else 0.0,
+            p_joint=j / n if n else 0.0,
+        )
+        for word, (n, f, d, j) in tallies.items()
+    }
+    return AlignmentStatistics(words=words, source_lengths=dict(lengths))
 
 
 def parallel_from_lines(language: str, rows: list[tuple[str, list[str]]]) -> ParallelText:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import read_model_rows, read_statistics_rows
+from helpers import oracle_statistics, read_model_rows, read_statistics_rows
 from lowresmt.align import (
     NULL_TOKEN,
     AlignmentModel,
@@ -285,6 +285,33 @@ class TestCollectStatistics:
             assert word_stats.p_joint <= min(word_stats.p_fert1, word_stats.p_dist0) + 1e-12
             assert 0.0 <= word_stats.p_fert1 <= 1.0
             assert 0.0 <= word_stats.p_dist0 <= 1.0
+
+    @given(
+        seed=st.integers(0, 10_000),
+        vocab_size=st.integers(1, 8),
+        empty_sides=st.booleans(),
+        trained=st.booleans(),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_the_distortion_tally_oracle(self, seed, vocab_size, empty_sides, trained):
+        # a trained table or an arbitrary one, which links in any order
+        rng = random.Random(seed)
+        vocab = [f"w{i}" for i in range(vocab_size)]
+        low = 0 if empty_sides else 1
+        bitext = [
+            (
+                tuple(rng.choice(vocab) for _ in range(rng.randint(low, 7))),
+                tuple(rng.choice(vocab) for _ in range(rng.randint(low, 7))),
+            )
+            for _ in range(rng.randint(1, 12))
+        ]
+        bitext.append((("w0", "w0"), ("w0",)))
+        if trained:
+            model = train_alignment(bitext, rng.randint(1, 4))
+        else:
+            ttable = {s: {t: rng.random() for t in vocab} for s in [NULL_TOKEN, *vocab]}
+            model = AlignmentModel(ttable=ttable, p_null=rng.uniform(0.01, 0.9))
+        assert collect_statistics(model, bitext) == oracle_statistics(model, bitext)
 
     def test_self_alignment_limit_invariant(self):
         bitext = self_bitext(n_lines=50, vocab_size=40, seed=21)

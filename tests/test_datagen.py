@@ -185,18 +185,19 @@ class TestBuildVocab:
     def test_union_of_disjoint_texts(self):
         a = ParallelText("a", {str(i): (f"a{i}",) for i in range(100)})
         b = ParallelText("b", {str(i): (f"b{i}",) for i in range(100)})
-        vocab = build_vocab([a, b], max_ne=2)
+        vocab = build_vocab([*a.lines.values(), *b.lines.values()], max_ne=2)
         assert len(vocab) == 202
         assert "__NE0" in vocab and "__NE1" in vocab
 
     def test_idempotent_over_duplicates(self):
         a = ParallelText("a", {str(i): (f"a{i}",) for i in range(10)})
-        assert build_vocab([a, a]).tokens == build_vocab([a]).tokens
+        lines = list(a.lines.values())
+        assert build_vocab(lines + lines) == build_vocab(lines)
 
     def test_placeholders_and_tags_present(self):
         a = ParallelText("a", {"0": ("x",)})
         tags = [DirectionTag("a", "b"), DirectionTag("b", "a")]
-        vocab = build_vocab([a], tags=tags, max_ne=4)
+        vocab = build_vocab(a.lines.values(), tags=tags, max_ne=4)
         for token in ("__opt_src_a", "__opt_tgt_b", "__opt_src_b", "__opt_tgt_a"):
             assert token in vocab
         for i in range(4):
@@ -204,8 +205,7 @@ class TestBuildVocab:
 
     def test_frequency_then_lexicographic_order(self):
         a = ParallelText("a", {"0": ("b", "b", "a"), "1": ("c", "b", "a")})
-        vocab = build_vocab([a])
-        assert vocab.tokens == ("b", "a", "c")
+        assert build_vocab(a.lines.values()) == ("b", "a", "c")
 
 
 class TestEmitStage:

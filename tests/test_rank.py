@@ -330,6 +330,21 @@ def test_cut_candidates_rank_as_full_ones(metric):
     assert len(skipped[0][1]) == len(full)
 
 
+@pytest.mark.parametrize("metric, needed", [("famd", 1), ("famp", 2)])
+def test_a_candidate_sharing_too_few_lines_for_its_metric_is_skipped(metric, needed):
+    target = random_text("tgt", 60, seed=22)
+    stranger = ParallelText("stranger", {"elsewhere": ("w1", "w2")})
+    lone = ParallelText("lone", {lid: target.lines[lid] for lid in list(target.lines)[:1]})
+    candidates = [renamed_copy(target, "full"), stranger, lone]
+    ranking, skips = rank_languages(target, candidates, metric, min_shared_lines=0)
+    ranked = ["full"] if metric == "famp" else ["full", "lone"]
+    assert sorted(e.language for e in ranking.entries) == ranked
+    expected = [("stranger", f"only 0 shared lines (minimum {needed})")]
+    if metric == "famp":
+        expected.append(("lone", "only 1 shared lines (minimum 2)"))
+    assert [(skip.language, skip.reason) for skip in skips] == expected
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # a fresh interpreter: this test process has imported the pool already
     src = str(Path(__file__).resolve().parent.parent / "src")
