@@ -5,32 +5,37 @@ follows the standard modified-precision formulation with a brevity
 penalty; the sentence score add-one smooths every order above unigram so
 short hypotheses keep a usable signal.  Scores are in [0, 1].
 
-Each side's n-grams are counted in C: the tokens are shifted by 0 to
-MAX_ORDER-1 places and ``zip`` over the first ``order`` shifts yields
-every gram of that order as a tuple, which ``Counter`` counts straight
-from the iterator.  ``sentence_bleu`` and ``corpus_bleu`` count both
-sides of each pair they are given; the combiner counts each candidate
-once and scores every pair from those counts through the same two
-helpers, ``_shared_matches`` (clipping) and ``_smoothed_bleu``
-(smoothing and brevity penalty).  Clipping walks only the grams both
-sides share and adds the smaller count to that order's matches, so one
-intersection serves both directions of a pair.  The shifts are list
-slices on purpose: CPython keeps up to 2,000 freed tuples of each length
-below 20, so tuple shifts of 15-30-token lines leave free lists of long
-tuples behind (about 170 KiB of traced heap after 2,000 calls, against
-about 20 KiB with list slices).
+Each side's n-grams are held as one occurrence set per order, built in
+C: the tokens are shifted by 0 to MAX_ORDER-1 places and ``zip`` over
+the first ``order`` shifts yields every gram of that order as a tuple.
+A set holds each gram once per occurrence: the first occurrence is the
+gram itself and the c-th (c >= 2) is ``(gram, c)``, which never equals a
+gram of strings.  A gram seen a times on one side and b on the other
+then has min(a, b) occurrences in both sets, its clipped count, so an
+order's clipped matches are the size of the two sets' intersection and
+``_shared_matches`` runs no Python code per gram.  One intersection per
+order serves both directions of a pair.  ``sentence_bleu`` and
+``corpus_bleu`` build both sides' sets for each pair they are given;
+the combiner builds each candidate's once and scores every pair from
+them through the same two helpers, ``_shared_matches`` (clipping) and
+``_smoothed_bleu`` (smoothing and brevity penalty).  The shifts are
+list slices on purpose: CPython keeps up to 2,000 freed tuples of each
+length below 20, so tuple shifts of 15-30-token lines leave free lists
+of long tuples behind (about 170 KiB of traced heap after 2,000 calls,
+against about 20 KiB with list slices).
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 MAX_ORDER = 4
 
 Tokens = Sequence[str]
+# one occurrence set per n-gram order, from _ngram_counts
+Grams = list[set]
 
 
 @dataclass(frozen=True)
@@ -40,25 +45,35 @@ class BleuScore:
     brevity_penalty: float
 
 
-def _ngram_counts(tokens: Tokens) -> Counter:
-    """Counts of every n-gram of orders 1 to MAX_ORDER, keyed by gram tuple."""
+def _ngram_counts(tokens: Tokens) -> Grams:
+    """One occurrence set per order, 1 to MAX_ORDER (index 0 unigrams).
+
+    A gram seen c times is held as itself and as ``(gram, 2)`` to
+    ``(gram, c)``; a ``Counter`` runs only for an order whose set is
+    smaller than its number of grams, that is when some gram repeats.
+    """
     tokens = list(tokens)
     # list slices, not tuples: see the module docstring
     shifts = [tokens[i:] for i in range(MAX_ORDER)]
-    grams = (zip(*shifts[:order]) for order in range(1, MAX_ORDER + 1))
-    return Counter(chain.from_iterable(grams))
+    sets = []
+    for order in range(1, MAX_ORDER + 1):
+        grams = set(zip(*shifts[:order]))
+        if len(grams) < len(tokens) - order + 1:
+            repeated = Counter(zip(*shifts[:order]))
+            grams.update(
+                (gram, c) for gram, count in repeated.items() for c in range(2, count + 1)
+            )
+        sets.append(grams)
+    return sets
 
 
-def _shared_matches(hyp: Counter, ref: Counter) -> list[int]:
+def _shared_matches(hyp: Grams, ref: Grams) -> list[int]:
     """Clipped n-gram matches per order from two ``_ngram_counts``, index 0 unigrams.
 
-    Symmetric in its arguments: the clipped count of a gram is the smaller
-    of its two counts.
+    Each order's matches are the size of the intersection of its two
+    occurrence sets, so the result is symmetric in its arguments.
     """
-    matches = [0] * MAX_ORDER
-    for gram in hyp.keys() & ref.keys():
-        matches[len(gram) - 1] += min(hyp[gram], ref[gram])
-    return matches
+    return list(map(len, map(set.__and__, hyp, ref)))
 
 
 def _clipped_matches(hypothesis: Tokens, reference: Tokens) -> list[int]:

@@ -4,21 +4,20 @@ Each line's candidates form a cluster; the kept translation is the one
 maximizing the sum of similarities to all other candidates, i.e. the
 cluster center.  Similarity is smoothed sentence BLEU averaged over both
 directions, which is symmetric and reference-free within the cluster.
-Each candidate's n-grams are counted once per cluster.  Each unordered
-pair is scored from one intersection of those counts, since clipped
-matches are symmetric, and smoothed once per direction, since the
-hypothesis length differs; its similarity is added to both candidates'
-sums.  A cluster of k therefore costs k counts and k(k-1)/2
-intersections.
+Each candidate's n-gram occurrence sets are built once per cluster.
+Clipped matches are symmetric, so each unordered pair's are taken once,
+as four set intersections in C (one per order), and smoothed once per
+direction, since the hypothesis length differs; the pair's similarity is
+added to both candidates' sums.  A cluster of k therefore costs k set
+builds and k(k-1)/2 pairs of four intersections.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .bleu import Tokens, _ngram_counts, _shared_matches, _smoothed_bleu
+from .bleu import Grams, Tokens, _ngram_counts, _shared_matches, _smoothed_bleu
 # not called here; perfbench/tracing.py still probes it under this module's
 # name, until the benchmark's probes move
 from .bleu import sentence_bleu  # noqa: F401
@@ -52,7 +51,7 @@ def similarity(a: Tokens, b: Tokens) -> float:
     return _pair_similarity(_ngram_counts(a), len(a), _ngram_counts(b), len(b))
 
 
-def _pair_similarity(a: Counter, a_len: int, b: Counter, b_len: int) -> float:
+def _pair_similarity(a: Grams, a_len: int, b: Grams, b_len: int) -> float:
     """``similarity`` from each side's ``_ngram_counts`` and length.
 
     Two empty sides score 1.0 and one empty side 0.0, as sentence BLEU does.

@@ -77,7 +77,9 @@ class SplitSpec:
 def load_text(path: str | Path, language: str) -> ParallelText:
     """Read one corpus file, either ``ID<TAB>text`` rows or bare text.
 
-    Bare files get zero-based line indexes as ids.  A leading UTF-8 byte
+    Bare files get zero-based line indexes as ids; a blank bare line is
+    an error, while an ``ID<TAB>`` row with no text is an empty line
+    (``()``), as ``save_text`` writes one.  A leading UTF-8 byte
     order mark is skipped, so it never becomes part of the first id.
     Lines end only at ``\n``, ``\r\n`` or ``\r`` (see ``_read_lines``).
     Tokenization is a plain split on Unicode whitespace, and every token
@@ -97,7 +99,7 @@ def load_text(path: str | Path, language: str) -> ParallelText:
         else:
             line_id, text = str(index), row
         tokens = tuple(map(sys.intern, text.split()))
-        if not tokens:
+        if not tokens and not id_format:
             raise ValueError(f"{path}:{index + 1}: blank line")
         if line_id in lines:
             raise ValueError(f"{path}: duplicate line id {line_id!r}")
@@ -195,7 +197,10 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> str:
 
 
 def save_text(text: ParallelText, path: str | Path) -> None:
-    """Write ``ID<TAB>text`` rows; load_text round-trips the result."""
+    """Write ``ID<TAB>text`` rows; load_text round-trips the result.
+
+    An empty line is written as ``ID<TAB>`` and loads back as ``()``.
+    """
     write_lines(
         path, (f"{line_id}\t{' '.join(tokens)}" for line_id, tokens in text.lines.items())
     )

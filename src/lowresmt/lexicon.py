@@ -41,7 +41,8 @@ def placeholder(index: int) -> str:
 
 
 def is_placeholder(token: str) -> bool:
-    return _PLACEHOLDER_RE.fullmatch(token) is not None
+    # the prefix test spares most tokens the regex
+    return token.startswith(PLACEHOLDER_PREFIX) and _PLACEHOLDER_RE.fullmatch(token) is not None
 
 
 def levenshtein(a: str, b: str, cap: int | None = None) -> int:

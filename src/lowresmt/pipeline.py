@@ -222,7 +222,9 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
 
     Stage 1 needs a family of at least two; that fails before any work.
     Besides the candidates that ranking reads, only the target's and the
-    family's corpora are loaded.
+    family's corpora are loaded; an empty line in any of them (an
+    ``ID<TAB>`` row, as ``detag`` may write) is an error, since no stage
+    trains on one.
 
     Returns the manifest written to out_dir/manifest.json.  The manifest
     carries no timestamps or absolute paths, so reruns are comparable
@@ -246,6 +248,10 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     write_lines(config.out_dir / "family.txt", family.members)
     corpora = {lang: load_text(config.corpus_dir / f"{lang}.txt", lang) for lang in family.members}
     corpora[config.target] = target_text
+    for lang, text in corpora.items():
+        if not all(text.lines.values()):
+            empty = next(lid for lid, tokens in text.lines.items() if not tokens)
+            raise ValueError(f"{lang!r} has an empty line, first: {empty!r}")
 
     # only mention search reads the lexicon, so no reference to it (or to its
     # match indexes) outlives that call into the vocab and stage writes

@@ -177,25 +177,18 @@ def test_bleu_score_is_frozen():
 
 
 def test_sentence_bleu_counts_each_side_once(monkeypatch):
-    built = []
+    counted = []
+    real_counts = bleu._ngram_counts
 
-    class RecordingCounter(Counter):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(dict(self))
+    def counting(tokens):
+        counted.append(tuple(tokens))
+        return real_counts(tokens)
 
-    monkeypatch.setattr(bleu, "Counter", RecordingCounter)
+    monkeypatch.setattr(bleu, "_ngram_counts", counting)
     hyp = "the cat sat on the mat".split()
     ref = "the cat is on the mat".split()
     sentence_bleu(hyp, ref)
-
-    def every_gram(tokens):
-        grams = (tuple(tokens[i : i + n]) for n in range(1, 5) for i in range(len(tokens) - n + 1))
-        return dict(Counter(grams))
-
-    assert len(built) == 2
-    assert every_gram(hyp) in built
-    assert every_gram(ref) in built
+    assert sorted(counted) == sorted([tuple(hyp), tuple(ref)])
 
 
 def slicing_ngram_counts(tokens):
@@ -217,6 +210,15 @@ def intersecting_clipped_matches(hypothesis, reference):
     return matches
 
 
+def occurrence_sets(tokens):
+    """The oracle's counts as occurrence sets: each gram, then ``(gram, c)`` for c >= 2."""
+    sets = [set() for _ in range(bleu.MAX_ORDER)]
+    for gram, count in slicing_ngram_counts(tokens).items():
+        sets[len(gram) - 1].add(gram)
+        sets[len(gram) - 1].update((gram, c) for c in range(2, count + 1))
+    return sets
+
+
 # a small vocabulary repeats tokens and grams; up to 40 tokens passes the
 # 20-token tuple free-list limit
 token_lists = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=40)
@@ -230,8 +232,20 @@ token_lists = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=40)
 def test_kernel_equals_the_slicing_oracle(hyp, ref, as_tuple):
     if as_tuple:
         hyp, ref = tuple(hyp), tuple(ref)
-    assert bleu._ngram_counts(hyp) == slicing_ngram_counts(hyp)
+    assert bleu._ngram_counts(hyp) == occurrence_sets(hyp)
     assert bleu._clipped_matches(hyp, ref) == intersecting_clipped_matches(hyp, ref)
+
+
+@given(
+    a=st.lists(st.sampled_from(["a", "b"]), max_size=40),
+    b=st.lists(st.sampled_from(["a", "b"]), max_size=40),
+)
+@settings(max_examples=300, derandomize=True)
+def test_shared_matches_are_symmetric_clipped_matches(a, b):
+    # two token types repeat grams at every order, so every clip is exercised
+    a_sets, b_sets = bleu._ngram_counts(a), bleu._ngram_counts(b)
+    expected = intersecting_clipped_matches(a, b)
+    assert bleu._shared_matches(a_sets, b_sets) == bleu._shared_matches(b_sets, a_sets) == expected
 
 
 def test_sentence_bleu_leaves_no_heap_behind():

@@ -172,6 +172,39 @@ class TestTagDetag:
         assert load_text(detagged, "de").lines == {"V0": ("Ji", "sings"), "V1": ("Ji", "too")}
         assert report.read_text(encoding="utf-8") == ""
 
+    def test_line_left_empty_by_detag_reaches_combine_and_score(self, tmp_path):
+        lexicon = write(tmp_path / "lex.tsv", "e1\ten\tYi\ne1\tde\tJi\n")
+        model_output = write(tmp_path / "model.txt", "V1\t__NE0 ruft\nV2\t__NE5\n")
+        dicts = write(tmp_path / "dicts.tsv", "V1\t__NE0\te1\tYi\n")
+        decoded = tmp_path / "de.txt"
+        assert main(
+            [
+                "detag",
+                "--input", str(model_output),
+                "--dicts", str(dicts),
+                "--language", "de",
+                "--lexicon", str(lexicon),
+                "--output", str(decoded),
+            ]
+        ) == 0
+        assert decoded.read_text(encoding="utf-8") == "V1\tJi ruft\nV2\t\n"
+        other = write(tmp_path / "fr.txt", "V1\tJi appelle\nV2\tJi\n")
+        combined = tmp_path / "combined.txt"
+        assert main(
+            ["combine", "--inputs", str(decoded), str(other), "--output", str(combined)]
+        ) == 0
+        assert load_text(combined, "x").lines == {"V1": ("Ji", "ruft"), "V2": ()}
+        scores = tmp_path / "bleu.tsv"
+        assert main(
+            [
+                "score",
+                "--hypotheses", str(combined),
+                "--references", str(decoded),
+                "--output", str(scores),
+            ]
+        ) == 0
+        assert scores.read_text(encoding="utf-8").splitlines()[1].startswith("1.000000\t")
+
     def test_negative_edit_threshold_exits_one_before_reading(self, tmp_path, caplog):
         absent = tmp_path / "absent"
         tagged = tmp_path / "tagged.txt"

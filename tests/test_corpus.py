@@ -68,6 +68,13 @@ class TestLoadText:
         with pytest.raises(ValueError, match="blank"):
             load_text(path, "en")
 
+    def test_id_row_without_text_is_an_empty_line(self, tmp_path):
+        text = text_of("de", [("V1", "a b"), ("V2", ""), ("V3", "c")])
+        path = tmp_path / "x.txt"
+        save_text(text, path)
+        assert path.read_bytes() == b"V1\ta b\nV2\t\nV3\tc\n"
+        assert load_text(path, "de").lines == {"V1": ("a", "b"), "V2": (), "V3": ("c",)}
+
     def test_missing_tab_in_id_format_is_an_error(self, tmp_path):
         path = write(tmp_path, "x.txt", "ID1\ta b\nno tab here but spaces only\n")
         # first line decides the format; later rows must follow it

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -266,6 +267,17 @@ class TestTargetDictionaryAndDetag:
         restored, dropped = detag(("a", "__NE7", "b"), {"__NE0": "X"})
         assert restored == ["a", "b"]
         assert dropped == ["__NE7"]
+
+    @given(
+        token=st.one_of(
+            st.text(max_size=8),
+            st.builds("__NE".__add__, st.text(st.sampled_from("0123456789٣x_"), max_size=4)),
+        )
+    )
+    @settings(max_examples=200, derandomize=True)
+    def test_is_placeholder_is_the_full_regex_match(self, token):
+        # the prefix pre-filter decides nothing the regex would not
+        assert is_placeholder(token) == (re.fullmatch(r"__NE\d+", token) is not None)
 
     def test_multi_token_target_surface_is_spliced(self):
         table = LexiconTable({"e": {"en": ["Simon"], "fr": ["Simon Pierre"]}})

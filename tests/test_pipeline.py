@@ -263,6 +263,19 @@ def test_stage2_names_a_family_member_lacking_a_target_line(tmp_path, caplog):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("language", ["bbb", "lrx"])
+def test_an_empty_corpus_line_fails_naming_language_and_id(tmp_path, caplog, language):
+    corpus_dir = fixture_copy(tmp_path, family=["aaa", "bbb", "ccc"])
+    path = corpus_dir / f"{language}.txt"
+    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    line_id = rows[1].split("\t")[0]
+    rows[1] = f"{line_id}\t\n"
+    path.write_text("".join(rows), encoding="utf-8")
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
+    assert f"{language!r} has an empty line, first: {line_id!r}" in caplog.text
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_malformed_candidate_fails_before_ranking(tmp_path, caplog):
     corpus_dir = fixture_copy(tmp_path)
     (corpus_dir / "zzz.txt").write_text(MALFORMED_CORPUS, encoding="utf-8")
