@@ -9,10 +9,12 @@ single tokens.  The fallback looks a token up in a symmetric-delete
 index (as in SymSpell): every string reachable from a casefolded
 single-token form by at most ``edit_threshold`` deletions maps to that
 form, so a query looks up its own deletions and checks only the forms
-they hit with the capped ``levenshtein``.  At depth 2 a form of length L
-costs about 1 + L + L(L-1)/2 index keys; a query costs about as many
-lookups for its own length plus one check per hit, instead of one check
-per form of the language.  A table holds the index of one language (and
+they hit with the capped ``levenshtein``.  Index and query make their
+neighbourhoods alike, deleting positions in increasing order so that
+each set of positions is made once: at depth 2 a word of length L gives
+1 + L + L(L-1)/2 strings.  A query meets the index in one set
+intersection, then makes one check per hit, instead of one check per
+form of the language.  A table holds the index of one language (and
 threshold) at a time, so memory stays at one language's index however
 many languages are searched; a caller that alternates languages rebuilds
 the index each time it switches, so search one language after another.
@@ -126,14 +128,21 @@ class LexiconTable:
 
 
 def _deletions(word: str, depth: int) -> set[str]:
-    """``word`` and every string reachable from it by at most ``depth`` deletions."""
+    """``word`` and every string reachable from it by at most ``depth`` deletions.
+
+    Each set of deleted positions is made once: a variant deletes only at
+    or after the position of its own last deletion, so the positions of
+    ``word`` go in increasing order.
+    """
     found = {word}
-    frontier = {word}
-    for _ in range(depth):
-        frontier = {
-            variant[:i] + variant[i + 1 :] for variant in frontier for i in range(len(variant))
-        }
-        found |= frontier
+    # (variant, first position it may delete)
+    frontier = [(word, 0)]
+    for level in range(depth):
+        variants = [v[:i] + v[i + 1 :] for v, start in frontier for i in range(start, len(v))]
+        found.update(variants)
+        if level + 1 < depth:
+            starts = [i for v, start in frontier for i in range(start, len(v))]
+            frontier = list(zip(variants, starts))
     return found
 
 
@@ -195,12 +204,14 @@ def find_mentions(
     The fallback is exact but indexed: a form within distance d of the
     token shares with it a string reachable from both by at most d
     deletions, so only forms under one of the token's deletions in
-    ``LexiconTable.deletes`` are checked with ``levenshtein``.  The first
-    fuzzy query of a language builds that index (about 1 + L + L(L-1)/2
-    keys per form of length L at threshold 2) in place of the one the
-    table held.  Results are memoized in the table per (language,
-    threshold), so each distinct token is searched once however often it
-    recurs.
+    ``LexiconTable.deletes`` are checked with ``levenshtein``.  A query of
+    length L makes 1 + L + L(L-1)/2 deletions at cap 2 (1 + L at cap 1),
+    meets the index's keys with one set intersection and checks each
+    form under the keys it shares.  The first fuzzy query of a language
+    builds that index (at most 1 + L + L(L-1)/2 keys per form of length
+    L at threshold 2) in place of the one the table held.  Results are
+    memoized in the table per (language, threshold), so each distinct
+    token is searched once however often it recurs.
     """
     exact = table.exact(language)
     fuzzy = table._fuzzy_cache.setdefault((language, edit_threshold), {})
@@ -236,7 +247,7 @@ def _fuzzy_entity(
     cap = min(edit_threshold, math.ceil(len(token) / 3))
     token_cf = token.casefold()
     deletes = table.deletes(language, edit_threshold)
-    hits = {hit for variant in _deletions(token_cf, cap) for hit in deletes.get(variant, ())}
+    hits = {hit for key in deletes.keys() & _deletions(token_cf, cap) for hit in deletes[key]}
     # (distance, entity id, form) is a total key, so the order of the checks is moot
     keys = (
         (levenshtein(token_cf, form_cf, cap=cap), entity_id, form)

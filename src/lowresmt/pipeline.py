@@ -165,6 +165,13 @@ _CONFIG_TYPES = {
 }
 
 
+def check_no_empty_line(text: ParallelText) -> None:
+    """Reject a text holding an empty line, naming its language and first such id."""
+    if not all(text.lines.values()):
+        empty = next(lid for lid, tokens in text.lines.items() if not tokens)
+        raise ValueError(f"{text.language!r} has an empty line, first: {empty!r}")
+
+
 def resolve_family(config: PipelineConfig, target_text: ParallelText) -> FamilyOfChoice:
     """Rank candidates if the config names a metric, else take the list as is."""
     if not isinstance(config.family, str):
@@ -224,7 +231,8 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     Besides the candidates that ranking reads, only the target's and the
     family's corpora are loaded; an empty line in any of them (an
     ``ID<TAB>`` row, as ``detag`` may write) is an error, since no stage
-    trains on one.
+    trains on one.  The target is checked as soon as it loads, before
+    ranking, and each family member as soon as it loads.
 
     Returns the manifest written to out_dir/manifest.json.  The manifest
     carries no timestamps or absolute paths, so reruns are comparable
@@ -235,6 +243,7 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         if size < 2:
             raise ValueError(f"stage 1 needs a family of at least two languages, got {size}")
     target_text = load_text(config.corpus_dir / f"{config.target}.txt", config.target)
+    check_no_empty_line(target_text)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     # no file of an earlier run may stay beside this run's, finished or not
     for name in OUTPUT_NAMES:
@@ -246,12 +255,11 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
 
     family = resolve_family(config, target_text)
     write_lines(config.out_dir / "family.txt", family.members)
-    corpora = {lang: load_text(config.corpus_dir / f"{lang}.txt", lang) for lang in family.members}
+    corpora = {}
+    for lang in family.members:
+        corpora[lang] = load_text(config.corpus_dir / f"{lang}.txt", lang)
+        check_no_empty_line(corpora[lang])
     corpora[config.target] = target_text
-    for lang, text in corpora.items():
-        if not all(text.lines.values()):
-            empty = next(lid for lid, tokens in text.lines.items() if not tokens)
-            raise ValueError(f"{lang!r} has an empty line, first: {empty!r}")
 
     # only mention search reads the lexicon, so no reference to it (or to its
     # match indexes) outlives that call into the vocab and stage writes

@@ -1,4 +1,5 @@
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,12 +12,14 @@ from lowresmt.corpus import ParallelText, SplitSpec
 from lowresmt.datagen import (
     DirectionTag,
     StageSpec,
+    _render_lines,
     build_vocab,
     emit_complete,
     emit_star,
     emit_stage,
     file_sha256,
     find_view_mentions,
+    pair_templates,
     symmetrize,
 )
 from lowresmt.lexicon import LexiconTable
@@ -370,3 +373,56 @@ def test_each_language_line_is_bound_once_per_split(monkeypatch, tmp_path):
     entry = emit_complete(languages, view, tmp_path, "train", mentions=find_view_mentions(view, table))
     assert entry["examples"] == 3 * 2 * 4
     assert len(calls) == 3 * 4
+
+
+@pytest.mark.parametrize(
+    "order, renders, expected",
+    [(("A", "B"), 0, "__NE0 calls __NE1"), (("B", "A"), 1, "__NE1 calls __NE0")],
+)
+def test_pair_templates_renders_only_lines_the_source_binds_otherwise(
+    monkeypatch, order, renders, expected
+):
+    table = LexiconTable({e: {"l0": [f"{e}x0"], "l1": [f"{e}x1"]} for e in ("A", "B")})
+    view = {
+        "l0": ParallelText("l0", {"v0": ("Ax0", "calls", "Bx0")}),
+        "l1": ParallelText("l1", {"v0": (f"{order[0]}x1", "calls", f"{order[1]}x1")}),
+    }
+    mentions = find_view_mentions(view, table)
+    _, source_entities = _render_lines(view["l0"], mentions, ["v0"])
+    rendered = _render_lines(view["l1"], mentions, ["v0"])
+    calls = []
+    render_template = lowresmt.datagen.render_template
+
+    def counting(*args):
+        calls.append(args)
+        return render_template(*args)
+
+    monkeypatch.setattr(lowresmt.datagen, "render_template", counting)
+    assert pair_templates(source_entities, view["l1"], rendered, mentions, ["v0"]) == [expected]
+    assert len(calls) == renders
+
+
+@pytest.mark.parametrize("configuration", ["complete", "star"])
+def test_a_split_renders_each_language_once(monkeypatch, tmp_path, configuration):
+    languages, view = make_view(4, 5)
+    table = LexiconTable({"e": {lang: [f"{lang}w1b"] for lang in languages}})
+    mentions = find_view_mentions(view, table)
+    calls = Counter()
+    render_sources = lowresmt.datagen.render_sources
+
+    def counting(text, *args):
+        calls[text.language] += 1
+        return render_sources(text, *args)
+
+    monkeypatch.setattr(lowresmt.datagen, "render_sources", counting)
+    if configuration == "complete":
+        emit_complete(languages, view, tmp_path, "train", mentions=mentions)
+    else:
+        emit_star(languages[:-1], languages[-1], view, tmp_path, "train", mentions=mentions)
+    assert calls == Counter(languages)
+
+
+def test_an_empty_split_writes_empty_files(tmp_path):
+    view = {lang: ParallelText(lang, {}) for lang in ("l0", "l1")}
+    assert emit_complete(["l0", "l1"], view, tmp_path, "train")["examples"] == 0
+    assert (tmp_path / "train.src").read_bytes() == (tmp_path / "train.tgt").read_bytes() == b""

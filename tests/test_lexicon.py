@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import re
 import tracemalloc
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 import lowresmt.lexicon
 from helpers import make_entity_table, make_filler_words
 from lowresmt.corpus import ParallelText
-from lowresmt.datagen import pair_templates, render_sources
+from lowresmt.datagen import _render_lines, pair_templates
 from lowresmt.lexicon import (
     LexiconTable,
     Mention,
+    _deletions,
     build_target_dictionary,
     detag,
     find_mentions,
@@ -35,9 +37,10 @@ def pair_sides(table, src, src_language, tgt, tgt_language):
         src_language: {"0": find_mentions(src, src_language, table)},
         tgt_language: {"0": find_mentions(tgt, tgt_language, table)},
     }
-    rendered = render_sources(source, mentions, ["0"])
-    [tgt_line] = pair_templates(rendered, target, mentions, ["0"])
-    return " ".join(rendered[0][0]), tgt_line
+    [src_line], src_entities = _render_lines(source, mentions, ["0"])
+    rendered = _render_lines(target, mentions, ["0"])
+    [tgt_line] = pair_templates(src_entities, target, rendered, mentions, ["0"])
+    return src_line, tgt_line
 
 
 def oracle_levenshtein(a, b):
@@ -535,3 +538,18 @@ class TestFuzzyIndex:
             tracemalloc.stop()
         assert held < 1.5 * one_index, (held, one_index)
         assert peak < 1.5 * one_index, (peak, one_index)
+
+
+def oracle_deletions(word, depth):
+    """Every string left after dropping at most ``depth`` positions of ``word``."""
+    return {
+        "".join(ch for i, ch in enumerate(word) if i not in dropped)
+        for count in range(min(depth, len(word)) + 1)
+        for dropped in itertools.combinations(range(len(word)), count)
+    }
+
+
+@given(word=st.text(alphabet="abAé", max_size=9), depth=st.integers(0, 3))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_deletions_match_the_combinations_oracle(word, depth):
+    assert _deletions(word, depth) == oracle_deletions(word, depth)

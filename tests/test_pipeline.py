@@ -276,6 +276,28 @@ def test_an_empty_corpus_line_fails_naming_language_and_id(tmp_path, caplog, lan
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_an_empty_target_line_fails_before_ranking(monkeypatch, tmp_path, caplog):
+    corpus_dir = fixture_copy(tmp_path)
+    assert json.loads((corpus_dir / "config.json").read_text(encoding="utf-8"))["family"] == "famp"
+    path = corpus_dir / "lrx.txt"
+    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    [index] = [i for i, row in enumerate(rows) if row.startswith("V001\t")]
+    rows[index] = "V001\t\n"
+    path.write_text("".join(rows), encoding="utf-8")
+    calls = []
+    rank_languages = lowresmt.pipeline.rank_languages
+
+    def ranking(*args, **kwargs):
+        calls.append(args)
+        return rank_languages(*args, **kwargs)
+
+    monkeypatch.setattr(lowresmt.pipeline, "rank_languages", ranking)
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
+    assert "'lrx' has an empty line, first: 'V001'" in caplog.text
+    assert calls == []
+    assert not (tmp_path / "out" / "ranking.tsv").exists()
+
+
 def test_malformed_candidate_fails_before_ranking(tmp_path, caplog):
     corpus_dir = fixture_copy(tmp_path)
     (corpus_dir / "zzz.txt").write_text(MALFORMED_CORPUS, encoding="utf-8")
