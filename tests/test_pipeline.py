@@ -4,7 +4,7 @@ import shutil
 import tempfile
 import weakref
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,9 @@ from lowresmt.corpus import ParallelText, load_text, save_text
 from lowresmt.pipeline import _CONFIG_TYPES, PipelineConfig, run_pipeline
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "e2e"
+# ``lowresmt gen --stage all`` on the fixture with the golden manifest's family
+# and ``"lexicon": null``
+NO_LEXICON_GOLDEN = FIXTURE_DIR.parent / "e2e_no_lexicon_manifest.json"
 FAMILY = ("fa", "fb", "fc")
 TARGET = "low"
 
@@ -94,6 +97,37 @@ def test_every_emitted_token_is_in_vocab(seed):
             for line in path.read_text(encoding="utf-8").splitlines():
                 missing = [token for token in line.split() if token not in vocab]
                 assert not missing, f"{path.name}: {missing}"
+
+
+def output_files(out_dir):
+    return {
+        path.relative_to(out_dir).as_posix(): path.read_bytes()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file()
+    }
+
+
+@given(seed=st.integers(0, 10_000), max_ne=st.integers(0, 3))
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_no_lexicon_writes_what_a_lexicon_matching_nothing_writes(seed, max_ne):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = entity_corpus(root, seed)
+        # no corpus token holds a digit, and threshold 0 matches exactly only
+        unmatched = root / "unmatched.tsv"
+        unmatched.write_text(
+            "".join(f"u{i}\t{lang}\tUnmatched{i}||Un matched{i}\n"
+                    for i in range(3) for lang in (*FAMILY, TARGET)),
+            encoding="utf-8",
+        )
+        outputs = []
+        for name, lexicon in (("none", None), ("unmatched", unmatched)):
+            run = replace(
+                config, lexicon=lexicon, edit_threshold=0, max_ne=max_ne, out_dir=root / name
+            )
+            run_pipeline(run)
+            outputs.append(output_files(run.out_dir))
+        assert outputs[0] == outputs[1]
 
 
 def test_one_mention_search_per_language_line(monkeypatch, tmp_path):
@@ -229,6 +263,14 @@ def test_explicit_family_reads_no_unrelated_corpus(tmp_path):
     assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest == {**golden, "provenance": "FAMO+"}
+
+
+def test_a_run_without_a_lexicon_writes_the_golden_manifest(tmp_path):
+    golden = json.loads(NO_LEXICON_GOLDEN.read_text(encoding="utf-8"))
+    corpus_dir = fixture_copy(tmp_path, family=golden["family"], lexicon=None)
+    assert run_cli("gen", corpus_dir, tmp_path / "out", "--stage", "all") == 0
+    assert (tmp_path / "out" / "manifest.json").read_bytes() == NO_LEXICON_GOLDEN.read_bytes()
+    assert main(["verify", str(tmp_path / "out")]) == 0
 
 
 def test_spelling_variant_is_tagged_through_the_fuzzy_fallback(monkeypatch, tmp_path):
