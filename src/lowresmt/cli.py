@@ -51,6 +51,8 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if args.min_lines < 0:
+        raise ValueError(f"--min-lines must be >= 0, got {args.min_lines}")
     target_path = Path(args.target)
     target = load_text(target_path, target_path.stem)
     ranking, skips = rank_languages(

@@ -10,10 +10,11 @@ member into the low-resource language only.
 Every emitted source line starts with a direction tag pair
 ``__opt_src_<src> __opt_tgt_<tgt>`` and is entity-tagged first, so
 placeholders and tags are first-class vocabulary items; the shared
-vocabulary covers every token any stage writes.  Output order is
-pair-major then line-minor and writes are byte-deterministic: two runs
-over the same inputs produce identical files, which the manifest
-checksums pin down.
+vocabulary covers every token any stage writes.  Without a lexicon no
+line holds a mention, and the same path writes every line as is.
+Output order is pair-major then line-minor and writes are
+byte-deterministic: two runs over the same inputs produce identical
+files, which the manifest checksums pin down.
 
 A split first renders every one of its languages, star target included,
 once (``render_sources``) and keeps per line only the joined string and
@@ -124,18 +125,17 @@ def _check_view(languages: Sequence[str], view: View) -> list[str]:
 
 
 def render_sources(
-    text: ParallelText, mentions: Mentions | None, ids: Iterable[str]
+    text: ParallelText, mentions: Mentions, ids: Iterable[str]
 ) -> list[SourceSide]:
     """Each line of ``ids`` as a source side: its template and its binding.
 
     A line with mentions binds them (``bind``) and renders its template;
-    a line without is its own tokens, bound to nothing.  The writer
-    renders each language's lines once per split and reuses them for
-    every pair; the shared vocabulary counts the same templates.
+    a line without, as every line is without a lexicon, is its own
+    tokens, bound to nothing.  The writer renders each language's lines
+    once per split and reuses them for every pair; the shared vocabulary
+    counts the same templates.
     """
     lines = text.lines
-    if mentions is None:
-        return [(lines[lid], {}) for lid in ids]
     found = mentions[text.language]
     rendered = []
     for lid in ids:
@@ -152,7 +152,7 @@ def pair_templates(
     sources: Sequence[tuple[str, ...]],
     target: ParallelText,
     rendered: RenderedLines,
-    mentions: Mentions | None,
+    mentions: Mentions,
     ids: Sequence[str],
 ) -> list[str]:
     """One pair's target sides, line by line.
@@ -167,8 +167,6 @@ def pair_templates(
     reused; any other line is rendered once under the source's binding.
     """
     joined, entities = rendered
-    if mentions is None:
-        return joined
     lines = target.lines
     found = mentions[target.language]
     out = list(joined)
@@ -183,7 +181,7 @@ def pair_templates(
 
 
 def _render_lines(
-    text: ParallelText, mentions: Mentions | None, ids: Sequence[str]
+    text: ParallelText, mentions: Mentions, ids: Sequence[str]
 ) -> RenderedLines:
     """``render_sources`` over ``ids``, kept as joined lines and entity id tuples."""
     rendered = render_sources(text, mentions, ids)
@@ -204,6 +202,8 @@ def _write_split(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     src_name, tgt_name = f"{split_name}.src", f"{split_name}.tgt"
+    if mentions is None:
+        mentions = find_view_mentions(view, None)
     # every language of the split, star target included, is rendered once
     rendered = {
         lang: _render_lines(view[lang], mentions, ids)
@@ -283,26 +283,18 @@ def symmetrize(low: ParallelText, sources: Sequence[ParallelText]) -> dict[str, 
 
 
 def build_vocab(
-    lines: Iterable[Sequence[str]],
-    tags: Iterable[DirectionTag] = (),
-    max_ne: int = 0,
-    extra: Iterable[str] = (),
+    lines: Iterable[Sequence[str]], reserved: Iterable[str] = ()
 ) -> tuple[str, ...]:
-    """Token types of ``lines`` plus tag, placeholder and ``extra`` tokens.
+    """Token types of ``lines`` plus the ``reserved`` tokens.
 
     ``lines`` is any iterable of token sequences.  The result is the
     vocabulary as a tuple, frequency-descending with ties lexicographic;
-    tokens absent from ``lines`` sort at the tail with count zero.
+    reserved tokens absent from ``lines`` sort at the tail with count zero.
     """
     counts: Counter = Counter()
     for tokens in lines:
         counts.update(tokens)
-    for tag in tags:
-        for token in tag.tokens():
-            counts[token] += 0
-    for index in range(max_ne):
-        counts[placeholder(index)] += 0
-    for token in extra:
+    for token in reserved:
         counts[token] += 0
     return tuple(sorted(counts, key=lambda token: (-counts[token], token)))
 
@@ -314,10 +306,13 @@ def write_vocab(vocab: Sequence[str], path: str | Path) -> str:
 
 def find_view_mentions(
     view: View, table: LexiconTable | None, edit_threshold: int = 2
-) -> Mentions | None:
-    """Precompute entity mentions per language and line for pair emission."""
-    if table is None or len(table) == 0:
-        return None
+) -> Mentions:
+    """Precompute entity mentions per language and line for pair emission.
+
+    Without a table no line has a mention, so every line is written as is.
+    """
+    if table is None:
+        return {lang: dict.fromkeys(text.lines, ()) for lang, text in view.items()}
     return {
         lang: {
             lid: find_mentions(tokens, lang, table, edit_threshold)
@@ -334,15 +329,17 @@ def unbound_surfaces(languages: Sequence[str], mentions: Mentions) -> set[str]:
     line every language shares, a mention whose entity some other
     language's line lacks stays a surface in that pair's target.
     """
-    first, *rest = (mentions[lang] for lang in languages)
+    by_language = [mentions[lang] for lang in languages]
     surfaces: set[str] = set()
-    for lid in first:
-        if not all(lid in other for other in rest):
+    # only a line with a mention in some language can leave a surface
+    for lid in {lid for found in by_language for lid, line in found.items() if line}:
+        if not all(lid in found for found in by_language):
             continue
-        entities = {lang: {m.entity_id for m in mentions[lang][lid]} for lang in languages}
-        for tgt in languages:
-            for mention in mentions[tgt][lid]:
-                if any(mention.entity_id not in entities[src] for src in languages if src != tgt):
+        lines = [found[lid] for found in by_language]
+        common = set.intersection(*({m.entity_id for m in line} for line in lines))
+        for line in lines:
+            for mention in line:
+                if mention.entity_id not in common:
                     surfaces.update(mention.surface.split())
     return surfaces
 

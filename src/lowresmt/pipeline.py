@@ -27,7 +27,7 @@ from .datagen import (
     unbound_surfaces,
     write_vocab,
 )
-from .lexicon import load_lexicon
+from .lexicon import load_lexicon, placeholder
 from .rank import (
     FAMO_PLUS,
     METRICS,
@@ -106,14 +106,10 @@ class PipelineConfig:
             raise ValueError(f"target corpus not found: {target_file}")
         if self.lexicon is not None and not self.lexicon.is_file():
             raise ValueError(f"lexicon file not found: {self.lexicon}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.edit_threshold < 0:
-            raise ValueError("edit_threshold must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for key, least in (("k", 1), ("iterations", 1), ("edit_threshold", 0), ("workers", 1),
+                           ("min_shared_lines", 0), ("max_ne", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
         check_language_code(self.target)
         if isinstance(self.family, str):
             if self.family.upper() not in METRICS:
@@ -122,8 +118,11 @@ class PipelineConfig:
                     " or an explicit list of language codes"
                 )
             # every corpus but the target's is a candidate, and may join the family
-            for path in self.corpus_dir.glob("*.txt"):
-                check_language_code(path.stem)
+            candidates = [p.stem for p in self.corpus_dir.glob("*.txt") if p.stem != self.target]
+            for code in candidates:
+                check_language_code(code)
+            if self.k > len(candidates):
+                raise ValueError(f"k={self.k} exceeds the {len(candidates)} candidate corpora")
         else:
             if not self.family:
                 raise ValueError("explicit family must name at least one language")
@@ -197,31 +196,30 @@ def build_shared_vocab(
     config: PipelineConfig,
     corpora: dict[str, ParallelText],
     family: FamilyOfChoice,
-    mentions: Mentions | None,
+    mentions: Mentions,
 ) -> tuple[str, ...]:
     """One vocabulary for all stages, holding every token any stage writes.
 
-    Takes the family's and the target's corpora and their mentions
-    (``None`` without a lexicon); returns ``build_vocab``'s token tuple.
-    Counts come from each line rendered as a source side by
-    ``render_sources``, the writer's own rendering, one language at a
-    time; that template holds every placeholder the line's pairs write.
-    Without mentions the lines are counted as they are.  Surfaces left
-    on target sides join at count zero, over stage 1 (the family) and
-    stage 2 (family plus target, whose pairs include stage 3's).
+    Takes the family's and the target's corpora and their mentions;
+    returns ``build_vocab``'s token tuple.  Counts come from each line
+    rendered as a source side by ``render_sources``, the writer's own
+    rendering, one language at a time; that template holds every
+    placeholder the line's pairs write.  Reserved at count zero are the
+    direction tags, ``max_ne`` placeholders and the surfaces left on
+    target sides over stage 1 (the family) and stage 2 (family plus
+    target, whose pairs include stage 3's).
     """
     languages = [*family.members, config.target]
     tags = [DirectionTag(a, b) for a in languages for b in languages if a != b]
-    if mentions is None:
-        lines = (tokens for lang in languages for tokens in corpora[lang].lines.values())
-        return build_vocab(lines, tags, config.max_ne)
     templates = (
         template
         for lang in languages
         for template, _ in render_sources(corpora[lang], mentions, corpora[lang].lines)
     )
     unbound = unbound_surfaces(family.members, mentions) | unbound_surfaces(languages, mentions)
-    return build_vocab(templates, tags, config.max_ne, unbound)
+    tag_tokens = [token for tag in tags for token in tag.tokens()]
+    placeholders = [placeholder(index) for index in range(config.max_ne)]
+    return build_vocab(templates, [*tag_tokens, *placeholders, *unbound])
 
 
 def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) -> dict:

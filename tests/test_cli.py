@@ -115,6 +115,21 @@ class TestRank:
         assert {row[1] for row in rows} == {"aa", "bb"}
         assert all(row[2] == "FAMD" for row in rows)
 
+    def test_negative_min_lines_exits_one_before_reading(self, tmp_path, small_corpus_dir, caplog):
+        ranking_path = tmp_path / "ranking.tsv"
+        assert main(
+            [
+                "rank",
+                "--target", str(small_corpus_dir / "tt.txt"),
+                "--candidates", str(small_corpus_dir),
+                "--metric", "famd",
+                "--output", str(ranking_path),
+                "--min-lines", "-5",
+            ]
+        ) == 1
+        assert "--min-lines must be >= 0, got -5" in caplog.text
+        assert not ranking_path.exists()
+
 
 class TestTagDetag:
     def test_file_round_trip(self, tmp_path):

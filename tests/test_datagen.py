@@ -22,7 +22,7 @@ from lowresmt.datagen import (
     pair_templates,
     symmetrize,
 )
-from lowresmt.lexicon import LexiconTable
+from lowresmt.lexicon import LexiconTable, placeholder
 
 
 def make_view(k, n, prefix="l"):
@@ -188,7 +188,9 @@ class TestBuildVocab:
     def test_union_of_disjoint_texts(self):
         a = ParallelText("a", {str(i): (f"a{i}",) for i in range(100)})
         b = ParallelText("b", {str(i): (f"b{i}",) for i in range(100)})
-        vocab = build_vocab([*a.lines.values(), *b.lines.values()], max_ne=2)
+        vocab = build_vocab(
+            [*a.lines.values(), *b.lines.values()], reserved=map(placeholder, range(2))
+        )
         assert len(vocab) == 202
         assert "__NE0" in vocab and "__NE1" in vocab
 
@@ -200,7 +202,8 @@ class TestBuildVocab:
     def test_placeholders_and_tags_present(self):
         a = ParallelText("a", {"0": ("x",)})
         tags = [DirectionTag("a", "b"), DirectionTag("b", "a")]
-        vocab = build_vocab(a.lines.values(), tags=tags, max_ne=4)
+        reserved = [*(token for tag in tags for token in tag.tokens()), *map(placeholder, range(4))]
+        vocab = build_vocab(a.lines.values(), reserved=reserved)
         for token in ("__opt_src_a", "__opt_tgt_b", "__opt_src_b", "__opt_tgt_a"):
             assert token in vocab
         for i in range(4):

@@ -340,6 +340,22 @@ def test_an_empty_target_line_fails_before_ranking(monkeypatch, tmp_path, caplog
     assert not (tmp_path / "out" / "ranking.tsv").exists()
 
 
+@pytest.mark.parametrize(
+    "changes, problem",
+    [
+        ({"k": 9}, "k=9 exceeds the 5 candidate corpora"),
+        ({"max_ne": -3}, "max_ne must be >= 0, got -3"),
+        ({"min_shared_lines": -7}, "min_shared_lines must be >= 0, got -7"),
+    ],
+    ids=["k above the candidates", "negative max_ne", "negative min_shared_lines"],
+)
+def test_a_count_out_of_range_fails_before_any_work(tmp_path, caplog, changes, problem):
+    corpus_dir = fixture_copy(tmp_path, **changes)
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
+    assert problem in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_candidate_fails_before_ranking(tmp_path, caplog):
     corpus_dir = fixture_copy(tmp_path)
     (corpus_dir / "zzz.txt").write_text(MALFORMED_CORPUS, encoding="utf-8")
