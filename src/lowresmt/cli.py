@@ -1,6 +1,6 @@
 """Command-line interface: one subcommand per pipeline operation.
 
-Subcommands: align, rank, tag, detag, gen, combine, score, pipeline, verify.
+Subcommands: align, rank, tag, detag, combine, score, pipeline, verify.
 Logs go to standard error; data goes to files (score prints its TSV to
 stdout unless redirected with --output).  Worker count and log level can
 also come from the LOWRESMT_WORKERS and LOWRESMT_LOG_LEVEL environment
@@ -53,6 +53,8 @@ def _cmd_align(args) -> int:
 def _cmd_rank(args) -> int:
     if args.min_lines < 0:
         raise ValueError(f"--min-lines must be >= 0, got {args.min_lines}")
+    if args.iterations < 1:
+        raise ValueError(f"--iterations must be >= 1, got {args.iterations}")
     target_path = Path(args.target)
     target = load_text(target_path, target_path.stem)
     ranking, skips = rank_languages(
@@ -118,18 +120,6 @@ def _cmd_detag(args) -> int:
     return 0
 
 
-def _cmd_gen(args) -> int:
-    config = PipelineConfig.from_file(args.config, out_dir=args.out_dir)
-    if isinstance(config.family, str):
-        raise ValueError(
-            "gen needs an explicit family list in the config;"
-            " use the pipeline command to rank and select first"
-        )
-    stages = (1, 2, 3) if args.stage == "all" else (int(args.stage),)
-    run_pipeline(config, stages=stages)
-    return 0
-
-
 def _cmd_combine(args) -> int:
     translations = [load_text(path, Path(path).stem) for path in args.inputs]
     combined, report = combine_mod.combine_corpus(translations)
@@ -167,7 +157,7 @@ def _cmd_pipeline(args) -> int:
     config = PipelineConfig.from_file(args.config, out_dir=args.out_dir)
     if args.workers is not None:
         config.workers = args.workers
-    run_pipeline(config)
+    run_pipeline(config, stages=(1, 2, 3) if args.stage == "all" else (int(args.stage),))
     return 0
 
 
@@ -233,12 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="dropped-placeholder counts TSV")
     p.set_defaults(handler=_cmd_detag)
 
-    p = sub.add_parser("gen", help="emit stage datasets for an explicit family")
-    p.add_argument("--config", required=True)
-    p.add_argument("--stage", default="all", choices=["all", "1", "2", "3"])
-    p.add_argument("--out-dir", help="override the config's output directory")
-    p.set_defaults(handler=_cmd_gen)
-
     p = sub.add_parser("combine", help="merge translations by cluster center")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--output", required=True)
@@ -251,14 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the TSV here instead of stdout")
     p.set_defaults(handler=_cmd_score)
 
-    p = sub.add_parser("pipeline", help="rank, select the family, emit all stages")
+    p = sub.add_parser("pipeline", help="rank, select the family, emit the stages")
     p.add_argument("--config", required=True)
+    p.add_argument("--stage", default="all", choices=["all", "1", "2", "3"])
     p.add_argument("--out-dir", help="override the config's output directory")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(handler=_cmd_pipeline)
 
     p = sub.add_parser("verify", help="re-check an output directory against its manifest")
-    p.add_argument("out_dir", help="directory a pipeline or gen run wrote")
+    p.add_argument("out_dir", help="directory a pipeline run wrote")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -13,7 +13,7 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import ParallelText, SplitSpec, load_candidates, load_text, write_lines
+from .corpus import ParallelText, SplitSpec, load_candidates, load_text, restrict, write_lines
 from .datagen import (
     DirectionTag,
     Mentions,
@@ -34,6 +34,7 @@ from .rank import (
     FamilyOfChoice,
     rank_languages,
     select_family,
+    shared_lines_needed,
     write_ranking,
     write_skips,
 )
@@ -172,12 +173,24 @@ def check_no_empty_line(text: ParallelText) -> None:
 
 
 def resolve_family(config: PipelineConfig, target_text: ParallelText) -> FamilyOfChoice:
-    """Rank candidates if the config names a metric, else take the list as is."""
+    """Rank candidates if the config names a metric, else take the list as is.
+
+    Fewer than ``k`` candidates that share enough lines with the target to
+    be scored (``shared_lines_needed``) is an error before any EM step.
+    """
     if not isinstance(config.family, str):
         return FamilyOfChoice(
             target=config.target, members=tuple(config.family), provenance=FAMO_PLUS
         )
     candidates = load_candidates(config.corpus_dir, target_text)
+    # each candidate is already cut to the lines it shares with the target
+    needed = shared_lines_needed(config.family, config.min_shared_lines)
+    usable = sum(len(candidate) >= needed for candidate in candidates)
+    if usable < config.k:
+        raise ValueError(
+            f"only {usable} of {len(candidates)} candidates share at least {needed} lines"
+            f" with {config.target!r}, but k={config.k}; supply an explicit family list instead"
+        )
     log.info("ranking %d candidates by %s", len(candidates), config.family.upper())
     ranking, skips = rank_languages(
         target_text,
@@ -227,10 +240,13 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
 
     Stage 1 needs a family of at least two; that fails before any work.
     Besides the candidates that ranking reads, only the target's and the
-    family's corpora are loaded; an empty line in any of them (an
-    ``ID<TAB>`` row, as ``detag`` may write) is an error, since no stage
-    trains on one.  The target is checked as soon as it loads, before
-    ranking, and each family member as soon as it loads.
+    family's corpora are loaded.  What fails before ranking: an empty
+    line in the target (an ``ID<TAB>`` row, as ``detag`` may write; no
+    stage trains on one), and for a metric family fewer than ``k``
+    candidates sharing enough lines with the target.  What fails as each
+    family member loads, before ``vocab.txt`` or any stage file is
+    written: an empty line in it, and when stage 2 or 3 is requested, a
+    target line id it lacks.
 
     Returns the manifest written to out_dir/manifest.json.  The manifest
     carries no timestamps or absolute paths, so reruns are comparable
@@ -257,6 +273,10 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     for lang in family.members:
         corpora[lang] = load_text(config.corpus_dir / f"{lang}.txt", lang)
         check_no_empty_line(corpora[lang])
+        if 2 in stages or 3 in stages:
+            # stages 2 and 3 cut each member to the target's ids (symmetrize): a
+            # member lacking one fails here, before vocab.txt or any stage file
+            restrict(corpora[lang], target_text.lines)
     corpora[config.target] = target_text
 
     # only mention search reads the lexicon, so no reference to it (or to its

@@ -136,11 +136,18 @@ def famp_score(
     return corpus_bleu(hypotheses, references).value
 
 
+def shared_lines_needed(metric: str, min_shared_lines: int) -> int:
+    """Fewest lines a candidate must share with the target to be scored by ``metric``.
+
+    famd trains on one line at least; famp also holds one out.
+    """
+    return max(min_shared_lines, 1 if metric.upper() == FAMD else 2)
+
+
 def _score_candidate(job) -> tuple[str, float | None, str | None]:
     candidate, target, metric, min_shared, iterations = job
     pairs = bitext(candidate, target)
-    # famd trains on one line at least; famp also holds one out
-    needed = max(min_shared, 1 if metric == FAMD else 2)
+    needed = shared_lines_needed(metric, min_shared)
     if len(pairs) < needed:
         return candidate.language, None, f"only {len(pairs)} shared lines (minimum {needed})"
     if metric == FAMD:

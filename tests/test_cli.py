@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import lowresmt.cli
 from helpers import read_model_rows, read_statistics_rows
 from lowresmt.align import collect_statistics, train_alignment
 from lowresmt.cli import main
@@ -128,6 +129,28 @@ class TestRank:
             ]
         ) == 1
         assert "--min-lines must be >= 0, got -5" in caplog.text
+        assert not ranking_path.exists()
+
+    def test_iterations_below_one_exit_one_before_reading(
+        self, tmp_path, small_corpus_dir, monkeypatch, caplog
+    ):
+        # with --min-lines 100 every candidate is skipped, so no EM step sees the 0
+        loads = []
+        monkeypatch.setattr(lowresmt.cli, "load_text", lambda *args: loads.append(args))
+        ranking_path = tmp_path / "ranking.tsv"
+        assert main(
+            [
+                "rank",
+                "--target", str(small_corpus_dir / "tt.txt"),
+                "--candidates", str(small_corpus_dir),
+                "--metric", "famd",
+                "--output", str(ranking_path),
+                "--iterations", "0",
+                "--min-lines", "100",
+            ]
+        ) == 1
+        assert "--iterations must be >= 1, got 0" in caplog.text
+        assert loads == []
         assert not ranking_path.exists()
 
 
@@ -327,10 +350,24 @@ class TestPipelineAndGen:
             tmp_path / "b" / "stage1" / "train.src"
         )
 
-    def test_gen_requires_explicit_family(self, tmp_path, small_corpus_dir):
-        config_path = tmp_path / "config.json"
-        write(config_path, json.dumps(pipeline_config(small_corpus_dir, tmp_path / "out", "famd")))
-        assert main(["gen", "--config", str(config_path)]) == 1
+    @pytest.mark.parametrize("stage", ["1", "2", "3"])
+    def test_single_stage_of_a_metric_family_ranks_and_writes_the_full_vocab(
+        self, tmp_path, small_corpus_dir, stage
+    ):
+        config = pipeline_config(small_corpus_dir, tmp_path / "unused", "famd")
+        config_path = write(tmp_path / "config.json", json.dumps(config))
+        for run, flag in (("full", "all"), ("one", stage)):
+            assert main(
+                ["pipeline", "--config", str(config_path), "--stage", flag,
+                 "--out-dir", str(tmp_path / run)]
+            ) == 0
+        full, one = tmp_path / "full", tmp_path / "one"
+        assert (one / "ranking.tsv").read_bytes() == (full / "ranking.tsv").read_bytes()
+        assert (one / "vocab.txt").read_bytes() == (full / "vocab.txt").read_bytes()
+        written = sorted(path.name for path in one.iterdir() if path.name.startswith("stage"))
+        assert written == [f"stage{stage}"]
+        for path in (one / f"stage{stage}").iterdir():
+            assert path.read_bytes() == (full / f"stage{stage}" / path.name).read_bytes()
 
     def test_gen_single_stage(self, tmp_path, small_corpus_dir):
         config_path = tmp_path / "config.json"
@@ -339,7 +376,7 @@ class TestPipelineAndGen:
             config_path,
             json.dumps(pipeline_config(small_corpus_dir, out_dir, ["aa", "bb"])),
         )
-        assert main(["gen", "--config", str(config_path), "--stage", "3"]) == 0
+        assert main(["pipeline", "--config", str(config_path), "--stage", "3"]) == 0
         assert (out_dir / "stage3" / "train.src").exists()
         assert not (out_dir / "stage1").exists()
 
@@ -354,7 +391,7 @@ class TestPipelineAndGen:
         config_path = write(tmp_path / "config.json", json.dumps(config))
         for run, flag in (("full", "all"), ("one", stage)):
             assert main(
-                ["gen", "--config", str(config_path), "--stage", flag,
+                ["pipeline", "--config", str(config_path), "--stage", flag,
                  "--out-dir", str(tmp_path / run)]
             ) == 0
         vocab = (tmp_path / "full" / "vocab.txt").read_text()
@@ -368,15 +405,15 @@ class TestPipelineAndGen:
         assert main(["pipeline", "--config", str(config_path)]) == 1
 
 
-    @pytest.mark.parametrize("command, family, k", [("pipeline", "famp", 1), ("gen", ["aa"], 2)])
+    @pytest.mark.parametrize("family, k", [("famp", 1), (["aa"], 2)])
     def test_stage1_family_below_two_fails_before_any_work(
-        self, tmp_path, small_corpus_dir, caplog, command, family, k
+        self, tmp_path, small_corpus_dir, caplog, family, k
     ):
         out_dir = tmp_path / "out"
         config = pipeline_config(small_corpus_dir, out_dir, family)
         config["k"] = k
         config_path = write(tmp_path / "config.json", json.dumps(config))
-        assert main([command, "--config", str(config_path)]) == 1
+        assert main(["pipeline", "--config", str(config_path)]) == 1
         assert "stage 1 needs a family of at least two languages" in caplog.text
         assert not (out_dir / "ranking.tsv").exists()
         assert not out_dir.exists()
@@ -392,7 +429,7 @@ class TestPipelineAndGen:
         config_path = write(
             tmp_path / "config.json", json.dumps(pipeline_config(small_corpus_dir, out_dir, family))
         )
-        assert main(["gen", "--config", str(config_path), "--stage", "2"]) == 1
+        assert main(["pipeline", "--config", str(config_path), "--stage", "2"]) == 1
         assert problem in caplog.text
         assert not out_dir.exists()
 
@@ -402,7 +439,7 @@ class TestPipelineAndGen:
         config_path = write(
             tmp_path / "config.json", json.dumps(pipeline_config(small_corpus_dir, out_dir, ["aa"]))
         )
-        assert main(["gen", "--config", str(config_path), "--stage", stage]) == 0
+        assert main(["pipeline", "--config", str(config_path), "--stage", stage]) == 0
         assert (out_dir / f"stage{stage}" / "train.src").exists()
 
     @pytest.mark.parametrize(
@@ -439,7 +476,8 @@ class TestVerify:
     @pytest.fixture
     def out_dir(self, tmp_path, small_corpus_dir):
         config = pipeline_config(small_corpus_dir, tmp_path / "out", ["aa", "bb"])
-        assert main(["gen", "--config", str(write(tmp_path / "c.json", json.dumps(config)))]) == 0
+        config_path = write(tmp_path / "c.json", json.dumps(config))
+        assert main(["pipeline", "--config", str(config_path)]) == 0
         return tmp_path / "out"
 
     def test_finished_run_passes(self, out_dir):

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 import lowresmt.datagen
 import lowresmt.lexicon
 import lowresmt.pipeline
+import lowresmt.rank
 from helpers import make_entity_table, make_filler_words
 from lowresmt.cli import main
 from lowresmt.corpus import ParallelText, load_text, save_text
 from lowresmt.pipeline import _CONFIG_TYPES, PipelineConfig, run_pipeline
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "e2e"
-# ``lowresmt gen --stage all`` on the fixture with the golden manifest's family
+# ``lowresmt pipeline --stage all`` on the fixture with the golden manifest's family
 # and ``"lexicon": null``
 NO_LEXICON_GOLDEN = FIXTURE_DIR.parent / "e2e_no_lexicon_manifest.json"
 FAMILY = ("fa", "fb", "fc")
@@ -179,7 +180,7 @@ def test_failed_rerun_leaves_no_manifest(tmp_path):
     assert (out_dir / "manifest.json").exists()
     first_run = sorted((out_dir / "stage2").iterdir()) + sorted((out_dir / "stage3").iterdir())
     assert first_run
-    # a target line no family member has: stage 1 is rewritten, stage 2 fails
+    # a target line no family member has: the run fails before writing any stage file
     with (corpus_dir / "lrx.txt").open("a", encoding="utf-8") as handle:
         handle.write("V999\tonly.lrx has.lrx this.lrx line.lrx\n")
     assert main(command) == 1
@@ -248,7 +249,7 @@ def test_a_run_removes_every_output_of_an_earlier_run(tmp_path):
     assert run_cli("pipeline", fixture_copy(tmp_path / "ranked"), out_dir) == 0
     assert (out_dir / "stage1").is_dir() and (out_dir / "ranking.tsv").is_file()
     corpus_dir = fixture_copy(tmp_path / "listed", family=["aaa", "bbb", "ccc"])
-    assert run_cli("gen", corpus_dir, out_dir, "--stage", "2") == 0
+    assert run_cli("pipeline", corpus_dir, out_dir, "--stage", "2") == 0
     assert sorted(path.name for path in out_dir.iterdir()) == [
         "family.txt", "manifest.json", "stage2", "vocab.txt"
     ]
@@ -268,7 +269,7 @@ def test_explicit_family_reads_no_unrelated_corpus(tmp_path):
 def test_a_run_without_a_lexicon_writes_the_golden_manifest(tmp_path):
     golden = json.loads(NO_LEXICON_GOLDEN.read_text(encoding="utf-8"))
     corpus_dir = fixture_copy(tmp_path, family=golden["family"], lexicon=None)
-    assert run_cli("gen", corpus_dir, tmp_path / "out", "--stage", "all") == 0
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out", "--stage", "all") == 0
     assert (tmp_path / "out" / "manifest.json").read_bytes() == NO_LEXICON_GOLDEN.read_bytes()
     assert main(["verify", str(tmp_path / "out")]) == 0
 
@@ -300,9 +301,45 @@ def test_stage2_names_a_family_member_lacking_a_target_line(tmp_path, caplog):
     corpus_dir = fixture_copy(tmp_path, family=["aaa", "bbb", "ccc"])
     with (corpus_dir / "lrx.txt").open("a", encoding="utf-8") as handle:
         handle.write("V999\tonly.lrx has.lrx this.lrx line.lrx\n")
-    assert run_cli("gen", corpus_dir, tmp_path / "out", "--stage", "2") == 1
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out", "--stage", "2") == 1
     assert "'aaa' lacks 1 line id(s), first: 'V999'" in caplog.text
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_a_member_lacking_a_target_line_fails_before_any_stage_file(tmp_path, caplog):
+    corpus_dir = fixture_copy(tmp_path)
+    assert json.loads((corpus_dir / "config.json").read_text(encoding="utf-8"))["family"] == "famp"
+    with (corpus_dir / "lrx.txt").open("a", encoding="utf-8") as handle:
+        handle.write("V999\tonly.lrx has.lrx this.lrx line.lrx\n")
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
+    first = (tmp_path / "out" / "family.txt").read_text(encoding="utf-8").split()[0]
+    assert f"{first!r} lacks 1 line id(s), first: 'V999'" in caplog.text
+    assert not (tmp_path / "out" / "vocab.txt").exists()
+    assert not (tmp_path / "out" / "stage1").exists()
+
+
+def test_a_metric_family_short_of_k_usable_candidates_fails_before_any_em(
+    monkeypatch, tmp_path, caplog
+):
+    corpus_dir = fixture_copy(tmp_path, k=5)
+    eee = corpus_dir / "eee.txt"
+    eee.write_text("".join(eee.read_text(encoding="utf-8").splitlines(keepends=True)[:10]),
+                   encoding="utf-8")
+    calls = []
+    train_alignment = lowresmt.rank.train_alignment
+
+    def training(*args, **kwargs):
+        calls.append(args)
+        return train_alignment(*args, **kwargs)
+
+    monkeypatch.setattr(lowresmt.rank, "train_alignment", training)
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
+    assert (
+        "only 4 of 5 candidates share at least 50 lines with 'lrx', but k=5;"
+        " supply an explicit family list instead"
+    ) in caplog.text
+    assert calls == []
+    assert sorted((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("language", ["bbb", "lrx"])
