@@ -5,26 +5,10 @@ order-preserving named-entity tagging, staged pretraining dataset
 generation, and cluster-center combination of multi-source translations.
 """
 
-from .align import (
-    AlignmentModel,
-    AlignmentStatistics,
-    SentenceAlignment,
-    collect_statistics,
-    train_alignment,
-    viterbi_align,
-)
-from .bleu import BleuScore, corpus_bleu, sentence_bleu
-from .combine import combine_corpus, select_center, similarity
-from .corpus import ParallelText, SplitSpec, intersect, load_candidates, load_text, save_text, split
-from .datagen import (
-    DirectionTag,
-    StageSpec,
-    build_vocab,
-    emit_complete,
-    emit_star,
-    emit_stage,
-    symmetrize,
-)
+from .align import AlignmentModel, AlignmentStatistics, collect_statistics, train_alignment
+from .bleu import BleuScore, corpus_bleu
+from .combine import combine_corpus
+from .corpus import ParallelText, load_candidates, load_text, save_text
 from .lexicon import (
     LexiconTable,
     TaggedSentence,
@@ -34,15 +18,6 @@ from .lexicon import (
     tag_sentence,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .rank import (
-    FamilyOfChoice,
-    LanguageRanking,
-    LanguageScore,
-    famd_score,
-    famp_score,
-    rank_languages,
-    select_family,
-    word_replacement_translate,
-)
+from .rank import FamilyOfChoice, LanguageRanking, LanguageScore, rank_languages, select_family
 
 __version__ = "0.1.0"

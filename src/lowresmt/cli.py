@@ -2,15 +2,12 @@
 
 Subcommands: align, rank, tag, detag, combine, score, pipeline, verify.
 Logs go to standard error; data goes to files (score prints its TSV to
-stdout unless redirected with --output).  Worker count and log level can
-also come from the LOWRESMT_WORKERS and LOWRESMT_LOG_LEVEL environment
-variables.
+stdout unless redirected with --output).
 """
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -26,15 +23,11 @@ from .rank import rank_languages, write_ranking, write_skips
 log = logging.getLogger("lowresmt")
 
 
-def _env_workers() -> int | None:
-    value = os.environ.get("LOWRESMT_WORKERS")
-    try:
-        return int(value) if value else None
-    except ValueError:
-        raise ValueError(f"LOWRESMT_WORKERS must be an integer, got {value!r}") from None
-
-
 def _cmd_align(args) -> int:
+    if args.iterations < 1:
+        raise ValueError(f"--iterations must be >= 1, got {args.iterations}")
+    if not 0.0 < args.p_null < 1.0:
+        raise ValueError(f"--p-null must lie strictly between 0 and 1, got {args.p_null}")
     source = load_text(args.source, Path(args.source).stem)
     target = load_text(args.target, Path(args.target).stem)
     pairs = bitext(source, target)
@@ -55,6 +48,8 @@ def _cmd_rank(args) -> int:
         raise ValueError(f"--min-lines must be >= 0, got {args.min_lines}")
     if args.iterations < 1:
         raise ValueError(f"--iterations must be >= 1, got {args.iterations}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     target_path = Path(args.target)
     target = load_text(target_path, target_path.stem)
     ranking, skips = rank_languages(
@@ -63,7 +58,7 @@ def _cmd_rank(args) -> int:
         args.metric,
         min_shared_lines=args.min_lines,
         iterations=args.iterations,
-        workers=args.workers if args.workers is not None else 1,
+        workers=args.workers,
     )
     write_ranking(ranking, args.output)
     if args.skip_report:
@@ -154,9 +149,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = PipelineConfig.from_file(args.config, out_dir=args.out_dir)
-    if args.workers is not None:
-        config.workers = args.workers
+    config = PipelineConfig.from_file(args.config, out_dir=args.out_dir, workers=args.workers)
     run_pipeline(config, stages=(1, 2, 3) if args.stage == "all" else (int(args.stage),))
     return 0
 
@@ -179,10 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--log-level",
-        default=os.environ.get("LOWRESMT_LOG_LEVEL", "INFO"),
+        default="INFO",
         help="logging level for stderr (default INFO)",
     )
-    parser.set_defaults(workers=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("align", help="train an alignment model on two corpora")
@@ -202,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-report", help="TSV for excluded candidates")
     p.add_argument("--min-lines", type=int, default=50)
     p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_rank)
 
     p = sub.add_parser("tag", help="replace entity mentions with placeholders")
@@ -239,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--stage", default="all", choices=["all", "1", "2", "3"])
     p.add_argument("--out-dir", help="override the config's output directory")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, help="override the config's worker count")
     p.set_defaults(handler=_cmd_pipeline)
 
     p = sub.add_parser("verify", help="re-check an output directory against its manifest")
@@ -263,10 +255,6 @@ def main(argv=None) -> int:
                 f"unknown log level {args.log_level!r};"
                 " expected DEBUG, INFO, WARNING, ERROR or CRITICAL"
             )
-        if args.workers is None:
-            args.workers = _env_workers()
-        if args.workers is not None and args.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {args.workers}")
         return args.handler(args)
     except (ValueError, OSError) as error:
         log.error("%s", error)

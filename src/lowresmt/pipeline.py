@@ -69,7 +69,10 @@ class PipelineConfig:
     workers: int = 1
 
     @classmethod
-    def from_file(cls, path: str | Path, *, out_dir: str | Path | None = None) -> "PipelineConfig":
+    def from_file(
+        cls, path: str | Path, *, out_dir: str | Path | None = None, workers: int | None = None
+    ) -> "PipelineConfig":
+        """Read and validate ``path``, a given ``out_dir`` or ``workers`` replacing the file's."""
         path = Path(path)
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
         if not isinstance(raw, dict):
@@ -92,6 +95,8 @@ class PipelineConfig:
                 kwargs[key] = tuple(value) if isinstance(value, list) else value
         if out_dir is not None:
             kwargs["out_dir"] = Path(out_dir)
+        if workers is not None:
+            kwargs["workers"] = workers
         missing = {"target", "corpus_dir", "out_dir", "family"} - set(kwargs)
         if missing:
             raise ValueError(f"{path}: missing config key(s): {', '.join(sorted(missing))}")
@@ -172,11 +177,16 @@ def check_no_empty_line(text: ParallelText) -> None:
         raise ValueError(f"{text.language!r} has an empty line, first: {empty!r}")
 
 
-def resolve_family(config: PipelineConfig, target_text: ParallelText) -> FamilyOfChoice:
+def resolve_family(
+    config: PipelineConfig, target_text: ParallelText, stages: tuple[int, ...]
+) -> FamilyOfChoice:
     """Rank candidates if the config names a metric, else take the list as is.
 
-    Fewer than ``k`` candidates that share enough lines with the target to
-    be scored (``shared_lines_needed``) is an error before any EM step.
+    Stages 2 and 3 need every target line in each member, so when ``stages``
+    holds either, a candidate lacking a target line id is skipped with its
+    shared-line count.  Fewer than ``k`` candidates that share enough lines
+    with the target to be scored (``shared_lines_needed``), or that hold
+    every target line id when they must, is an error before any EM step.
     """
     if not isinstance(config.family, str):
         return FamilyOfChoice(
@@ -191,12 +201,22 @@ def resolve_family(config: PipelineConfig, target_text: ParallelText) -> FamilyO
             f"only {usable} of {len(candidates)} candidates share at least {needed} lines"
             f" with {config.target!r}, but k={config.k}; supply an explicit family list instead"
         )
+    min_shared_lines = config.min_shared_lines
+    if 2 in stages or 3 in stages:
+        min_shared_lines = max(min_shared_lines, len(target_text))
+        covering = sum(len(candidate) == len(target_text) for candidate in candidates)
+        if covering < config.k:
+            raise ValueError(
+                f"only {covering} of {len(candidates)} candidates hold all {len(target_text)}"
+                f" line ids of {config.target!r}, which stages 2 and 3 need, but k={config.k};"
+                " supply an explicit family list instead"
+            )
     log.info("ranking %d candidates by %s", len(candidates), config.family.upper())
     ranking, skips = rank_languages(
         target_text,
         candidates,
         config.family,
-        min_shared_lines=config.min_shared_lines,
+        min_shared_lines=min_shared_lines,
         iterations=config.iterations,
         workers=config.workers,
     )
@@ -243,7 +263,8 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     family's corpora are loaded.  What fails before ranking: an empty
     line in the target (an ``ID<TAB>`` row, as ``detag`` may write; no
     stage trains on one), and for a metric family fewer than ``k``
-    candidates sharing enough lines with the target.  What fails as each
+    candidates sharing enough lines with the target, or, when stage 2 or
+    3 is requested, holding every target line id.  What fails as each
     family member loads, before ``vocab.txt`` or any stage file is
     written: an empty line in it, and when stage 2 or 3 is requested, a
     target line id it lacks.
@@ -267,7 +288,7 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         else:
             path.unlink(missing_ok=True)
 
-    family = resolve_family(config, target_text)
+    family = resolve_family(config, target_text, stages)
     write_lines(config.out_dir / "family.txt", family.members)
     corpora = {}
     for lang in family.members:

@@ -527,18 +527,19 @@ class TestUsageErrors:
             main(["score", "--nope"])
         assert excinfo.value.code == 2
 
-    def test_malformed_workers_variable_exits_one(self, tmp_path, monkeypatch, caplog):
+    def test_environment_variables_set_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LOWRESMT_WORKERS", "abc")
+        monkeypatch.setenv("LOWRESMT_LOG_LEVEL", "bogus")
         hyp = write(tmp_path / "hyp.txt", "a b\n")
-        assert main(["score", "--hypotheses", str(hyp), "--references", str(hyp)]) == 1
-        assert "LOWRESMT_WORKERS" in caplog.text
+        out = tmp_path / "score.tsv"
+        assert main(
+            ["score", "--hypotheses", str(hyp), "--references", str(hyp), "--output", str(out)]
+        ) == 0
+        assert out.read_text().splitlines()[1].split("\t")[0] == "1.000000"
 
-    @pytest.mark.parametrize(
-        "flag, variable", [(["--log-level", "bogus"], None), ([], "basic_format")]
-    )
-    def test_unknown_log_level_exits_one(self, tmp_path, monkeypatch, caplog, flag, variable):
-        if variable is not None:
-            monkeypatch.setenv("LOWRESMT_LOG_LEVEL", variable)
+    # the ids are those the cases had when an environment variable could set each value
+    @pytest.mark.parametrize("flag", [["--log-level", "bogus"]], ids=["flag0-None"])
+    def test_unknown_log_level_exits_one(self, tmp_path, caplog, flag):
         hyp = write(tmp_path / "hyp.txt", "a b\n")
         out = tmp_path / "score.tsv"
         argv = [*flag, "score", "--hypotheses", str(hyp), "--references", str(hyp),
@@ -548,12 +549,8 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["rank", "pipeline"])
-    @pytest.mark.parametrize("flag, variable", [(["--workers", "0"], None), ([], "-3")])
-    def test_workers_below_one_exit_one(
-        self, tmp_path, small_corpus_dir, monkeypatch, caplog, command, flag, variable
-    ):
-        if variable is not None:
-            monkeypatch.setenv("LOWRESMT_WORKERS", variable)
+    @pytest.mark.parametrize("flag", [["--workers", "0"]], ids=["flag0-None"])
+    def test_workers_below_one_exit_one(self, tmp_path, small_corpus_dir, caplog, command, flag):
         out = tmp_path / "out"
         if command == "rank":
             argv = ["rank", "--target", str(small_corpus_dir / "tt.txt"),
@@ -565,6 +562,27 @@ class TestUsageErrors:
         assert main(argv + flag) == 1
         assert "workers must be >= 1" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, problem",
+        [
+            ("align", ["--iterations", "0"], "--iterations must be >= 1, got 0"),
+            ("align", ["--p-null", "1.5"], "--p-null must lie strictly between 0 and 1, got 1.5"),
+            ("rank", ["--workers", "0"], "--workers must be >= 1, got 0"),
+        ],
+        ids=["align --iterations", "align --p-null", "rank --workers"],
+    )
+    def test_a_flag_out_of_range_exits_one_before_reading(
+        self, tmp_path, caplog, command, flag, problem
+    ):
+        missing = str(tmp_path / "missing.txt")
+        if command == "align":
+            argv = ["align", "--source", missing, "--target", missing]
+        else:
+            argv = ["rank", "--target", missing, "--candidates", str(tmp_path), "--metric", "famd"]
+        assert main([*argv, "--output", str(tmp_path / "out.tsv"), *flag]) == 1
+        assert problem in caplog.text
+        assert not (tmp_path / "out.tsv").exists()
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(

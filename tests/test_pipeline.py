@@ -307,8 +307,10 @@ def test_stage2_names_a_family_member_lacking_a_target_line(tmp_path, caplog):
 
 
 def test_a_member_lacking_a_target_line_fails_before_any_stage_file(tmp_path, caplog):
-    corpus_dir = fixture_copy(tmp_path)
-    assert json.loads((corpus_dir / "config.json").read_text(encoding="utf-8"))["family"] == "famp"
+    corpus_dir = fixture_copy(tmp_path, family=["aaa", "bbb", "ccc", "ddd"])
+    assert json.loads((corpus_dir / "config.json").read_text(encoding="utf-8"))["family"] == [
+        "aaa", "bbb", "ccc", "ddd"
+    ]
     with (corpus_dir / "lrx.txt").open("a", encoding="utf-8") as handle:
         handle.write("V999\tonly.lrx has.lrx this.lrx line.lrx\n")
     assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
@@ -318,13 +320,8 @@ def test_a_member_lacking_a_target_line_fails_before_any_stage_file(tmp_path, ca
     assert not (tmp_path / "out" / "stage1").exists()
 
 
-def test_a_metric_family_short_of_k_usable_candidates_fails_before_any_em(
-    monkeypatch, tmp_path, caplog
-):
-    corpus_dir = fixture_copy(tmp_path, k=5)
-    eee = corpus_dir / "eee.txt"
-    eee.write_text("".join(eee.read_text(encoding="utf-8").splitlines(keepends=True)[:10]),
-                   encoding="utf-8")
+def counting_em_calls(monkeypatch):
+    """A list that grows by one per ``train_alignment`` call ranking makes."""
     calls = []
     train_alignment = lowresmt.rank.train_alignment
 
@@ -333,6 +330,17 @@ def test_a_metric_family_short_of_k_usable_candidates_fails_before_any_em(
         return train_alignment(*args, **kwargs)
 
     monkeypatch.setattr(lowresmt.rank, "train_alignment", training)
+    return calls
+
+
+def test_a_metric_family_short_of_k_usable_candidates_fails_before_any_em(
+    monkeypatch, tmp_path, caplog
+):
+    corpus_dir = fixture_copy(tmp_path, k=5)
+    eee = corpus_dir / "eee.txt"
+    eee.write_text("".join(eee.read_text(encoding="utf-8").splitlines(keepends=True)[:10]),
+                   encoding="utf-8")
+    calls = counting_em_calls(monkeypatch)
     assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
     assert (
         "only 4 of 5 candidates share at least 50 lines with 'lrx', but k=5;"
@@ -340,6 +348,54 @@ def test_a_metric_family_short_of_k_usable_candidates_fails_before_any_em(
     ) in caplog.text
     assert calls == []
     assert sorted((tmp_path / "out").iterdir()) == []
+
+
+def test_a_metric_family_short_of_k_candidates_holding_every_target_line_fails_before_any_em(
+    monkeypatch, tmp_path, caplog
+):
+    corpus_dir = fixture_copy(tmp_path)
+    with (corpus_dir / "lrx.txt").open("a", encoding="utf-8") as handle:
+        handle.write("V999\tonly.lrx has.lrx this.lrx line.lrx\n")
+    calls = counting_em_calls(monkeypatch)
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
+    assert (
+        "only 0 of 5 candidates hold all 61 line ids of 'lrx', which stages 2 and 3 need,"
+        " but k=4; supply an explicit family list instead"
+    ) in caplog.text
+    assert calls == []
+    assert sorted((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("stage", ["all", "1"])
+def test_a_candidate_lacking_a_target_line_is_ranked_only_for_stage1(tmp_path, stage):
+    corpus_dir = fixture_copy(tmp_path)
+    aaa = corpus_dir / "aaa.txt"
+    rows = aaa.read_text(encoding="utf-8").splitlines(keepends=True)
+    aaa.write_text("".join(row for row in rows if not row.startswith("V010\t")),
+                   encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run_cli("pipeline", corpus_dir, out_dir, "--stage", stage) == 0
+    skips = (out_dir / "skips.tsv").read_text(encoding="utf-8")
+    ranked = [row.split("\t")[1] for row in
+              (out_dir / "ranking.tsv").read_text(encoding="utf-8").splitlines()]
+    if stage == "all":
+        assert skips == "aaa\tonly 59 shared lines (minimum 60)\n"
+        assert "aaa" not in ranked
+        assert (out_dir / "family.txt").read_text(encoding="utf-8").split() == [
+            "bbb", "ccc", "ddd", "eee"
+        ]
+    else:
+        assert skips == ""
+        assert "aaa" in ranked
+    assert main(["verify", str(out_dir)]) == 0
+
+
+def test_config_overrides_are_validated_with_the_file(tmp_path):
+    path = FIXTURE_DIR / "config.json"
+    with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
+        PipelineConfig.from_file(path, workers=0)
+    config = PipelineConfig.from_file(path, out_dir=tmp_path, workers=2)
+    assert (config.out_dir, config.workers) == (tmp_path, 2)
 
 
 @pytest.mark.parametrize("language", ["bbb", "lrx"])
