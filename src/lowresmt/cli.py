@@ -92,7 +92,10 @@ def _read_dicts(path: str | Path) -> dict[str, dict[str, tuple[str, str]]]:
         if len(fields) != 4:
             raise ValueError(f"{path}:{number}: expected line_id<TAB>placeholder<TAB>entity<TAB>surface")
         lid, name, entity_id, surface = fields
-        out.setdefault(lid, {})[name] = (entity_id, surface)
+        line = out.setdefault(lid, {})
+        if name in line:
+            raise ValueError(f"{path}:{number}: placeholder {name!r} of line {lid!r} is listed twice")
+        line[name] = (entity_id, surface)
     return out
 
 

@@ -7,6 +7,10 @@ subset) and adds the low-resource language to the complete graph.
 Stage 3 keeps the symmetric subset but emits a star graph: every family
 member into the low-resource language only.
 
+``stage_splits`` plans each split's line ids and checks the stage's data;
+the writer (``emit_stage``, ``emit_complete``, ``emit_star``) trusts that
+plan, checks nothing again and takes a split's ids from its first language.
+
 Every emitted source line starts with a direction tag pair
 ``__opt_src_<src> __opt_tgt_<tgt>`` and is entity-tagged first, so
 placeholders and tags are first-class vocabulary items; the shared
@@ -42,7 +46,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import ParallelText, SplitSpec, intersect, open_output, restrict, same_ids, write_lines
+from .corpus import ParallelText, SplitSpec, intersect, open_output, restrict, write_lines
 from .corpus import split as split_corpus
 from .lexicon import LexiconTable, Mention, bind, find_mentions, placeholder, render_template
 
@@ -72,12 +76,6 @@ class DirectionTag:
     src: str
     tgt: str
 
-    def __post_init__(self) -> None:
-        check_language_code(self.src)
-        check_language_code(self.tgt)
-        if self.src == self.tgt:
-            raise ValueError(f"direction tag with identical codes: {self.src!r}")
-
     def tokens(self) -> tuple[str, str]:
         return (f"{SRC_TAG_PREFIX}{self.src}", f"{TGT_TAG_PREFIX}{self.tgt}")
 
@@ -87,25 +85,13 @@ class DirectionTag:
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One stage of the pipeline: which languages, which split, where to."""
+    """A planned stage: its family, split name -> line ids (``stage_splits``), out dir."""
 
     stage: int
     languages: tuple[str, ...]
     low_resource: str
-    split: SplitSpec
+    splits: dict[str, list[str]]
     out_dir: Path
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "languages", tuple(self.languages))
-        object.__setattr__(self, "out_dir", Path(self.out_dir))
-        if self.stage not in (1, 2, 3):
-            raise ValueError(f"stage must be 1, 2 or 3, got {self.stage}")
-        if not self.languages:
-            raise ValueError("stage needs at least one family language")
-        if self.low_resource in self.languages:
-            raise ValueError(
-                f"low-resource code {self.low_resource!r} must not appear in the family"
-            )
 
 
 def file_sha256(path: str | Path) -> str:
@@ -115,13 +101,6 @@ def file_sha256(path: str | Path) -> str:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _check_view(languages: Sequence[str], view: View) -> list[str]:
-    missing = [lang for lang in languages if lang not in view]
-    if missing:
-        raise ValueError(f"view lacks language(s): {', '.join(missing)}")
-    return same_ids([view[lang] for lang in languages])
 
 
 def render_sources(
@@ -194,11 +173,12 @@ def _render_lines(
 def _write_split(
     pairs: Sequence[tuple[str, str]],
     view: View,
-    ids: Sequence[str],
-    out_dir: Path,
+    out_dir: str | Path,
     split_name: str,
     mentions: Mentions | None,
 ) -> dict:
+    """Write ``pairs`` over the line ids of the first pair's source, in its order."""
+    ids = list(view[pairs[0][0]].lines)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     src_name, tgt_name = f"{split_name}.src", f"{split_name}.tgt"
@@ -239,14 +219,12 @@ def emit_complete(
 ) -> dict:
     """Write every ordered language pair: k(k-1)*n examples.
 
+    The lines are those of ``languages[0]`` in ``view``, in its order.
     Returns the split's manifest entry: ``examples``, ``src``, ``tgt``
     and the two files' sha256s, taken from the bytes as written.
     """
-    if len(languages) < 2:
-        raise ValueError("complete configuration needs at least two languages")
-    ids = _check_view(languages, view)
     pairs = [(a, b) for a in languages for b in languages if a != b]
-    return _write_split(pairs, view, ids, Path(out_dir), split_name, mentions)
+    return _write_split(pairs, view, out_dir, split_name, mentions)
 
 
 def emit_star(
@@ -260,15 +238,11 @@ def emit_star(
 ) -> dict:
     """Write every source into the single target: |sources|*n examples.
 
+    The lines are those of ``sources[0]`` in ``view``, in its order.
     Returns the split's manifest entry, as ``emit_complete`` does.
     """
-    if not sources:
-        raise ValueError("star configuration needs at least one source")
-    if target in sources:
-        raise ValueError(f"star target {target!r} listed among sources")
-    ids = _check_view([*sources, target], view)
     pairs = [(a, target) for a in sources]
-    return _write_split(pairs, view, ids, Path(out_dir), split_name, mentions)
+    return _write_split(pairs, view, out_dir, split_name, mentions)
 
 
 def symmetrize(low: ParallelText, sources: Sequence[ParallelText]) -> dict[str, ParallelText]:
@@ -344,50 +318,62 @@ def unbound_surfaces(languages: Sequence[str], mentions: Mentions) -> set[str]:
     return surfaces
 
 
+def stage_splits(
+    stage: int,
+    family: Sequence[str],
+    low_resource: str,
+    corpora: Mapping[str, ParallelText],
+    split: SplitSpec,
+) -> dict[str, list[str]]:
+    """Each split's name and line ids, in write order: the stage's plan.
+
+    Stage 1 splits the ids the whole family shares (``intersect``), stages
+    2 and 3 the low-resource ids (``symmetrize``).  No shared id, a member
+    lacking a low-resource id and an empty split raise here, once, so the
+    writer trusts the plan.
+    """
+    texts = [corpora[lang] for lang in family]
+    if stage == 1:
+        first = intersect(texts)[0]
+    else:
+        first = symmetrize(corpora[low_resource], texts)[family[0]]
+    return {name: list(part.lines) for name, part in split_corpus(first, split).items()}
+
+
 def emit_stage(
     spec: StageSpec,
     corpora: Mapping[str, ParallelText],
     mentions: Mentions | None = None,
 ) -> dict:
-    """Emit one stage's datasets and return its manifest fragment.
+    """Write each planned split of one stage and return its manifest fragment.
 
-    Stage views only select line ids, so one ``mentions`` map over the
-    full texts serves every stage.  The fragment records the
-    configuration, languages, per-split line and example counts and the
-    checksums the writer took of each file's bytes; it contains nothing
+    Each split restricts every emitted language to its planned ids and
+    writes them; the plan was checked by ``stage_splits``, so nothing is
+    checked again.  One ``mentions`` map over the full texts serves every
+    stage.  The fragment records the configuration, languages, per-split
+    line and example counts and each file's checksum; it holds nothing
     volatile, so repeated runs produce identical manifests.
     """
-    for lang in (*spec.languages, spec.low_resource):
-        if lang not in corpora:
-            raise ValueError(f"no corpus for language {lang!r}")
-    family = [corpora[lang] for lang in spec.languages]
-
     if spec.stage == 1:
-        view = {text.language: text for text in intersect(family)}
         emit_languages = list(spec.languages)
     else:
-        view = symmetrize(corpora[spec.low_resource], family)
         emit_languages = [*spec.languages, spec.low_resource]
     configuration = "star" if spec.stage == 3 else "complete"
-    parts = split_corpus(view[spec.languages[0]], spec.split)
 
     splits: dict[str, dict] = {}
-    for name, part in parts.items():
-        ids = list(part.lines)
-        sub_view = {lang: restrict(text, ids) for lang, text in view.items()}
+    for name, ids in spec.splits.items():
+        view = {lang: restrict(corpora[lang], ids) for lang in emit_languages}
         if configuration == "star":
             entry = emit_star(
                 list(spec.languages),
                 spec.low_resource,
-                sub_view,
+                view,
                 spec.out_dir,
                 name,
                 mentions=mentions,
             )
         else:
-            entry = emit_complete(
-                emit_languages, sub_view, spec.out_dir, name, mentions=mentions
-            )
+            entry = emit_complete(emit_languages, view, spec.out_dir, name, mentions=mentions)
         splits[name] = {**entry, "lines": len(ids)}
     return {
         "stage": spec.stage,

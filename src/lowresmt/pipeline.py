@@ -13,7 +13,7 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import ParallelText, SplitSpec, load_candidates, load_text, restrict, write_lines
+from .corpus import ParallelText, SplitSpec, load_candidates, load_text, write_lines
 from .datagen import (
     DirectionTag,
     Mentions,
@@ -24,6 +24,7 @@ from .datagen import (
     file_sha256,
     find_view_mentions,
     render_sources,
+    stage_splits,
     unbound_surfaces,
     write_vocab,
 )
@@ -256,23 +257,27 @@ def build_shared_vocab(
 
 
 def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) -> dict:
-    """Rank, select the family, and emit the requested stages.
+    """Rank, select the family, plan every requested stage, then write them.
 
-    Stage 1 needs a family of at least two; that fails before any work.
-    Besides the candidates that ranking reads, only the target's and the
-    family's corpora are loaded.  What fails before ranking: an empty
-    line in the target (an ``ID<TAB>`` row, as ``detag`` may write; no
-    stage trains on one), and for a metric family fewer than ``k``
-    candidates sharing enough lines with the target, or, when stage 2 or
-    3 is requested, holding every target line id.  What fails as each
-    family member loads, before ``vocab.txt`` or any stage file is
-    written: an empty line in it, and when stage 2 or 3 is requested, a
-    target line id it lacks.
+    Checks run in this order.  Before any work: ``config.validate()``,
+    however the config was built, a stage outside 1-3, and stage 1 with
+    a family of fewer than two.  Before ranking: an empty line in the
+    target (no stage trains on one).  Before any EM step, for a metric
+    family: fewer than ``k`` usable candidates (see ``resolve_family``).
+    As each member loads: an empty line in it.  Then every requested
+    stage is planned (``stage_splits``), so no shared id, a member
+    lacking a target id and an empty split fail before mention search,
+    ``vocab.txt`` or any stage file; the writer trusts the plan.  Only
+    the target's, the candidates' and the family's corpora are loaded.
 
     Returns the manifest written to out_dir/manifest.json.  The manifest
     carries no timestamps or absolute paths, so reruns are comparable
     checksum for checksum.
     """
+    config.validate()
+    for stage in stages:
+        if stage not in (1, 2, 3):
+            raise ValueError(f"stage must be 1, 2 or 3, got {stage}")
     if 1 in stages:
         size = config.k if isinstance(config.family, str) else len(config.family)
         if size < 2:
@@ -294,11 +299,19 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     for lang in family.members:
         corpora[lang] = load_text(config.corpus_dir / f"{lang}.txt", lang)
         check_no_empty_line(corpora[lang])
-        if 2 in stages or 3 in stages:
-            # stages 2 and 3 cut each member to the target's ids (symmetrize): a
-            # member lacking one fails here, before vocab.txt or any stage file
-            restrict(corpora[lang], target_text.lines)
     corpora[config.target] = target_text
+    # plan every stage before mention search, vocab.txt or any stage file
+    specs = []
+    for stage in stages:
+        ratios = config.stage1_ratios if stage == 1 else config.stage2_ratios
+        split = SplitSpec(ratios, seed=config.seed, mode=config.split_mode)
+        specs.append(StageSpec(
+            stage=stage,
+            languages=family.members,
+            low_resource=config.target,
+            splits=stage_splits(stage, family.members, config.target, corpora, split),
+            out_dir=config.out_dir / f"stage{stage}",
+        ))
 
     # only mention search reads the lexicon, so no reference to it (or to its
     # match indexes) outlives that call into the vocab and stage writes
@@ -325,17 +338,9 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         },
         "stages": {},
     }
-    for stage in stages:
-        ratios = config.stage1_ratios if stage == 1 else config.stage2_ratios
-        spec = StageSpec(
-            stage=stage,
-            languages=family.members,
-            low_resource=config.target,
-            split=SplitSpec(ratios, seed=config.seed, mode=config.split_mode),
-            out_dir=config.out_dir / f"stage{stage}",
-        )
-        log.info("emitting stage %d", stage)
-        manifest["stages"][f"stage{stage}"] = emit_stage(spec, corpora, mentions)
+    for spec in specs:
+        log.info("emitting stage %d", spec.stage)
+        manifest["stages"][f"stage{spec.stage}"] = emit_stage(spec, corpora, mentions)
     write_lines(
         config.out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)]
     )

@@ -210,6 +210,24 @@ class TestTagDetag:
         assert load_text(detagged, "de").lines == {"V0": ("Ji", "sings"), "V1": ("Ji", "too")}
         assert report.read_text(encoding="utf-8") == ""
 
+    def test_a_placeholder_listed_twice_for_a_line_fails(self, tmp_path, caplog):
+        lexicon = write(tmp_path / "lex.tsv", "e1\ten\tAlpha\ne2\ten\tBeta\n")
+        model_output = write(tmp_path / "model.txt", "V1\t__NE0 ruft\n")
+        dicts = write(tmp_path / "dicts.tsv", "V1\t__NE0\te1\tAlpha\nV1\t__NE0\te2\tBeta\n")
+        decoded = tmp_path / "en.txt"
+        assert main(
+            [
+                "detag",
+                "--input", str(model_output),
+                "--dicts", str(dicts),
+                "--language", "en",
+                "--lexicon", str(lexicon),
+                "--output", str(decoded),
+            ]
+        ) == 1
+        assert f"{dicts}:2: placeholder '__NE0' of line 'V1' is listed twice" in caplog.text
+        assert not decoded.exists()
+
     def test_line_left_empty_by_detag_reaches_combine_and_score(self, tmp_path):
         lexicon = write(tmp_path / "lex.tsv", "e1\ten\tYi\ne1\tde\tJi\n")
         model_output = write(tmp_path / "model.txt", "V1\t__NE0 ruft\nV2\t__NE5\n")
@@ -420,7 +438,11 @@ class TestPipelineAndGen:
 
     @pytest.mark.parametrize(
         "family, problem",
-        [([], "must name at least one language"), (["aa", "aa"], "lists a language twice")],
+        [
+            ([], "must name at least one language"),
+            (["aa", "aa"], "lists a language twice"),
+            (["aa", "tt"], "must not contain the target"),
+        ],
     )
     def test_explicit_family_checked_before_any_work(
         self, tmp_path, small_corpus_dir, caplog, family, problem

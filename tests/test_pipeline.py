@@ -320,6 +320,42 @@ def test_a_member_lacking_a_target_line_fails_before_any_stage_file(tmp_path, ca
     assert not (tmp_path / "out" / "stage1").exists()
 
 
+def test_an_empty_split_fails_before_vocab_or_any_stage_file(tmp_path, caplog):
+    corpus_dir = fixture_copy(
+        tmp_path,
+        family=["aaa", "bbb", "ccc", "ddd"],
+        stage2_ratios=[["train", 0.9], ["val", 0.01], ["test", 0.09]],
+    )
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
+    assert "split 'val' would receive 0 lines" in caplog.text
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["family.txt"]
+
+
+def built_config(tmp_path, **changes):
+    """The fixture's config with an explicit family, built directly: nothing validates it."""
+    config = PipelineConfig.from_file(FIXTURE_DIR / "config.json", out_dir=tmp_path / "out")
+    return replace(config, **{"family": ("aaa", "bbb", "ccc", "ddd"), **changes})
+
+
+@pytest.mark.parametrize(
+    "changes, stages, problem",
+    [
+        ({"edit_threshold": -1}, (1, 2, 3), "edit_threshold must be >= 0, got -1"),
+        ({"stage2_ratios": (("train", 0.9), ("val", 0.05))}, (1, 2, 3),
+         "split fractions sum to 0.95"),
+        ({}, (1, 4), "stage must be 1, 2 or 3, got 4"),
+        ({"family": ("aaa", "lrx")}, (1, 2, 3), "explicit family must not contain the target"),
+    ],
+    ids=["negative edit_threshold", "ratios short of 1", "stage 4", "family holding the target"],
+)
+def test_run_pipeline_checks_a_built_config_and_its_stages_before_any_work(
+    tmp_path, changes, stages, problem
+):
+    with pytest.raises(ValueError, match=problem):
+        run_pipeline(built_config(tmp_path, **changes), stages)
+    assert not (tmp_path / "out").exists()
+
+
 def counting_em_calls(monkeypatch):
     """A list that grows by one per ``train_alignment`` call ranking makes."""
     calls = []
