@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from lowresmt.align import collect_statistics, train_alignment
 from lowresmt.cli import main
 from lowresmt.corpus import load_text
 from lowresmt.datagen import file_sha256
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def write(path, content):
@@ -115,6 +118,22 @@ class TestRank:
         assert rows[0][0] == "1"
         assert {row[1] for row in rows} == {"aa", "bb"}
         assert all(row[2] == "FAMD" for row in rows)
+
+    @pytest.mark.parametrize("metric", ["famd", "famp"])
+    def test_fixture_ranking_is_byte_identical_to_the_golden_copy(self, tmp_path, metric):
+        # scores are written with repr, so any drift in the EM floats shows here
+        ranking_path = tmp_path / "ranking.tsv"
+        assert main(
+            [
+                "rank",
+                "--target", str(FIXTURES / "e2e" / "lrx.txt"),
+                "--candidates", str(FIXTURES / "e2e"),
+                "--metric", metric,
+                "--output", str(ranking_path),
+            ]
+        ) == 0
+        golden = FIXTURES / f"e2e_ranking_{metric}.tsv"
+        assert ranking_path.read_bytes() == golden.read_bytes()
 
     def test_negative_min_lines_exits_one_before_reading(self, tmp_path, small_corpus_dir, caplog):
         ranking_path = tmp_path / "ranking.tsv"
