@@ -85,9 +85,6 @@ class LexiconTable:
         # (language, edit threshold) -> token -> fuzzy match, as find_mentions memoizes it
         self._fuzzy_cache: dict[tuple[str, int], dict[str, str | None]] = {}
 
-    def __len__(self) -> int:
-        return len(self.entities)
-
     def forms(self, entity_id: str, language: str) -> list[str]:
         return self.entities.get(entity_id, {}).get(language, [])
 

@@ -262,13 +262,14 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     Checks run in this order.  Before any work: ``config.validate()``,
     however the config was built, a stage outside 1-3, and stage 1 with
     a family of fewer than two.  Before ranking: an empty line in the
-    target (no stage trains on one).  Before any EM step, for a metric
-    family: fewer than ``k`` usable candidates (see ``resolve_family``).
-    As each member loads: an empty line in it.  Then every requested
-    stage is planned (``stage_splits``), so no shared id, a member
-    lacking a target id and an empty split fail before mention search,
-    ``vocab.txt`` or any stage file; the writer trusts the plan.  Only
-    the target's, the candidates' and the family's corpora are loaded.
+    target (no stage trains on one) and a malformed lexicon.  Before
+    any EM step, for a metric family: fewer than ``k`` usable candidates
+    (see ``resolve_family``).  As each member loads: an empty line in
+    it.  Then every requested stage is planned (``stage_splits``), so no
+    shared id, a member lacking a target id and an empty split fail
+    before mention search, ``vocab.txt`` or any stage file; the writer
+    trusts the plan.  Only the target's, the candidates' and the
+    family's corpora are loaded.
 
     Returns the manifest written to out_dir/manifest.json.  The manifest
     carries no timestamps or absolute paths, so reruns are comparable
@@ -293,6 +294,9 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         else:
             path.unlink(missing_ok=True)
 
+    # a malformed lexicon fails before ranking; only mention search reads the
+    # table, so no reference to it (or to its match indexes) outlives that call
+    table = load_lexicon(config.lexicon) if config.lexicon is not None else None
     family = resolve_family(config, target_text, stages)
     write_lines(config.out_dir / "family.txt", family.members)
     corpora = {}
@@ -313,13 +317,8 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
             out_dir=config.out_dir / f"stage{stage}",
         ))
 
-    # only mention search reads the lexicon, so no reference to it (or to its
-    # match indexes) outlives that call into the vocab and stage writes
-    mentions = find_view_mentions(
-        corpora,
-        load_lexicon(config.lexicon) if config.lexicon is not None else None,
-        config.edit_threshold,
-    )
+    mentions = find_view_mentions(corpora, table, config.edit_threshold)
+    del table
     vocab = build_shared_vocab(config, corpora, family, mentions)
     vocab_sha256 = write_vocab(vocab, config.out_dir / "vocab.txt")
 

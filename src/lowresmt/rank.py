@@ -10,9 +10,9 @@ than the caller's minimum, or than its metric needs (1 for famd, which
 trains on them; 2 for famp, which also holds one out), is skipped with
 its shared-line count rather than scored.
 
-EM training dominates: either metric takes about 5-5.5 s per candidate
+EM training dominates: either metric takes about 3.8 s per candidate
 on 1,000 target lines of 15-30 tokens over 2,000 word types with 10 EM
-iterations (2 CPUs, Python 3.11), so ~100 candidates take about 9
+iterations (2 CPUs, Python 3.11), so ~100 candidates take about 6-7
 minutes serially; candidates score independently and may be fanned out
 over a worker pool.
 
@@ -22,8 +22,9 @@ interned tokens, so ranking holds about a pointer per shared token per
 candidate plus one string per word type.  Ranking 8 candidates of 31k
 lines (Zipfian over 12k types) against 1,000 target lines with
 ``lowresmt rank --metric famd --iterations 1 --workers 1`` peaks at
-94 MiB RSS; holding every candidate in full, one string per token, took
-483 MiB (2 CPUs, Python 3.11).  Pool jobs are pickled, so each worker
+69 MiB RSS, against 90 MiB when EM kept dict-of-dicts tables; holding
+every candidate in full, one string per token, took 483 MiB (2 CPUs,
+Python 3.11).  Pool jobs are pickled, so each worker
 process holds its own copy of the target and of its candidate.
 """
 from __future__ import annotations

@@ -5,10 +5,17 @@ ranges so fuzzy entity matching can never fire on filler by accident.
 """
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
-from lowresmt.align import AlignmentStatistics, WordStatistics, viterbi_align
+from lowresmt.align import (
+    NULL_TOKEN,
+    AlignmentModel,
+    AlignmentStatistics,
+    WordStatistics,
+    viterbi_align,
+)
 from lowresmt.corpus import ParallelText, read_rows
 from lowresmt.lexicon import LexiconTable, bind, render_template
 from lowresmt.synth import make_vocab
@@ -81,6 +88,51 @@ def oracle_split_bytes(pairs, view, mentions) -> tuple[bytes, bytes]:
             src_lines.append(f"__opt_src_{src} __opt_tgt_{tgt} {' '.join(src_tokens)}\n")
             tgt_lines.append(f"{' '.join(tgt_tokens)}\n")
     return "".join(src_lines).encode("utf-8"), "".join(tgt_lines).encode("utf-8")
+
+
+def oracle_train_alignment(bitext, iterations=10, *, p_null=0.08) -> AlignmentModel:
+    """``train_alignment`` on dict-of-dicts tables: one dict entry and float object per pair."""
+    pairs = [(src, tgt) for src, tgt in bitext if src and tgt]
+    cooc: dict[str, dict[str, None]] = {NULL_TOKEN: {}}
+    for src, tgt in pairs:
+        null_row = cooc[NULL_TOKEN]
+        for t in tgt:
+            null_row[t] = None
+        for s in src:
+            row = cooc.setdefault(s, {})
+            for t in tgt:
+                row[t] = None
+    ttable = {s: {t: 1.0 / len(row) for t in row} for s, row in cooc.items()}
+
+    model = AlignmentModel(ttable=ttable, p_null=p_null, iterations=iterations)
+    for step in range(iterations + 1):
+        final = step == iterations
+        likelihood = 0.0
+        counts: dict[str, dict[str, float]] = {NULL_TOKEN: {}}
+        null_row, null_counts = ttable[NULL_TOKEN], counts[NULL_TOKEN]
+        for src, tgt in pairs:
+            prior_real = (1.0 - p_null) / len(src)
+            rows = [ttable[s] for s in src]
+            count_rows = [counts.setdefault(s, {}) for s in src]
+            for t in tgt:
+                null_score = p_null * null_row.get(t, 0.0)
+                scores = [prior_real * row.get(t, 0.0) for row in rows]
+                denom = null_score + sum(scores)
+                likelihood += math.log(max(denom, 1e-300))
+                if final or denom <= 0.0:
+                    continue
+                null_counts[t] = null_counts.get(t, 0.0) + null_score / denom
+                for count_row, score in zip(count_rows, scores):
+                    if score > 0.0:
+                        count_row[t] = count_row.get(t, 0.0) + score / denom
+        model.log_likelihoods.append(likelihood)
+        if final:
+            break
+        for s, row in counts.items():
+            total = sum(row.values())
+            if total > 0.0:
+                ttable[s] = {t: c / total for t, c in row.items()}
+    return model
 
 
 def oracle_statistics(model, bitext) -> AlignmentStatistics:

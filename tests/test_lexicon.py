@@ -119,7 +119,7 @@ class TestLoadLexicon:
         path = tmp_path / "lex.tsv"
         path.write_text("e1\ten\tYi\ne1\tde\tJi\ne2\ten\tWati\n", encoding="utf-8")
         table = load_lexicon(path)
-        assert len(table) == 2
+        assert len(table.entities) == 2
         assert table.forms("e1", "de") == ["Ji"]
 
     def test_multiple_forms_split_on_separator(self, tmp_path):

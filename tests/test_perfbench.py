@@ -35,7 +35,6 @@ VARIANT_SPANS = ("lexicon.load", "corpus.load", "lexicon.find_mentions", "lexico
 def traced_calls(monkeypatch, *commands):
     """Run each CLI command under the benchmark's tracer; return calls per span name."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    monkeypatch.delenv("LOWRESMT_WORKERS", raising=False)  # pool workers record no spans here
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
     with tracer.traced():

@@ -402,6 +402,19 @@ def test_a_metric_family_short_of_k_candidates_holding_every_target_line_fails_b
     assert sorted((tmp_path / "out").iterdir()) == []
 
 
+def test_a_malformed_lexicon_fails_before_any_em(monkeypatch, tmp_path, caplog):
+    corpus_dir = fixture_copy(tmp_path)
+    lexicon = corpus_dir / "lexicon.tsv"
+    rows = lexicon.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows[1] = "e000\taaa\n"
+    lexicon.write_text("".join(rows), encoding="utf-8")
+    calls = counting_em_calls(monkeypatch)
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 1
+    assert "lexicon.tsv:2: expected entity<TAB>language<TAB>forms" in caplog.text
+    assert calls == []
+    assert not (tmp_path / "out" / "ranking.tsv").exists()
+
+
 @pytest.mark.parametrize("stage", ["all", "1"])
 def test_a_candidate_lacking_a_target_line_is_ranked_only_for_stage1(tmp_path, stage):
     corpus_dir = fixture_copy(tmp_path)
