@@ -280,6 +280,22 @@ class TestTagDetag:
         ) == 0
         assert scores.read_text(encoding="utf-8").splitlines()[1].startswith("1.000000\t")
 
+    def test_fixture_tagging_is_byte_identical_to_the_golden_copy(self, tmp_path):
+        tagged = tmp_path / "tagged.txt"
+        dicts = tmp_path / "dicts.tsv"
+        assert main(
+            [
+                "tag",
+                "--input", str(FIXTURES / "e2e" / "lrx.txt"),
+                "--language", "lrx",
+                "--lexicon", str(FIXTURES / "e2e" / "lexicon.tsv"),
+                "--output", str(tagged),
+                "--dicts", str(dicts),
+            ]
+        ) == 0
+        assert tagged.read_bytes() == (FIXTURES / "e2e_tag_lrx.txt").read_bytes()
+        assert dicts.read_bytes() == (FIXTURES / "e2e_tag_lrx_dicts.tsv").read_bytes()
+
     def test_negative_edit_threshold_exits_one_before_reading(self, tmp_path, caplog):
         absent = tmp_path / "absent"
         tagged = tmp_path / "tagged.txt"
