@@ -9,14 +9,7 @@ from .align import AlignmentModel, AlignmentStatistics, collect_statistics, trai
 from .bleu import BleuScore, corpus_bleu
 from .combine import combine_corpus
 from .corpus import ParallelText, load_candidates, load_text, save_text
-from .lexicon import (
-    LexiconTable,
-    TaggedSentence,
-    build_target_dictionary,
-    detag,
-    load_lexicon,
-    tag_sentence,
-)
+from .lexicon import LexiconTable, build_target_dictionary, detag, load_lexicon
 from .pipeline import PipelineConfig, run_pipeline
 from .rank import FamilyOfChoice, LanguageRanking, LanguageScore, rank_languages, select_family
 

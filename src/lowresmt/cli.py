@@ -16,7 +16,8 @@ from . import align as align_mod
 from . import combine as combine_mod
 from .bleu import corpus_bleu
 from .corpus import bitext, load_candidates, load_text, read_rows, same_ids, save_text, write_lines
-from .lexicon import build_target_dictionary, detag, load_lexicon, tag_sentence
+from .datagen import find_view_mentions, render_sources
+from .lexicon import LexiconTable, build_target_dictionary, detag, load_lexicon
 from .pipeline import PipelineConfig, run_pipeline, verify_output
 from .rank import rank_languages, write_ranking, write_skips
 
@@ -67,18 +68,31 @@ def _cmd_rank(args) -> int:
     return 0
 
 
+def _warn_if_absent(table: LexiconTable, language: str, consequence: str) -> None:
+    """One warning when the lexicon holds no form in ``language``: a scan, no index."""
+    if not any(language in by_language for by_language in table.entities.values()):
+        log.warning("the lexicon holds no form in language %r; %s", language, consequence)
+
+
 def _cmd_tag(args) -> int:
     if args.edit_threshold < 0:
         raise ValueError(f"--edit-threshold must be >= 0, got {args.edit_threshold}")
     table = load_lexicon(args.lexicon)
     text = load_text(args.input, args.language)
+    _warn_if_absent(table, args.language, "every line is written untagged")
+    # the pipeline's own search and rendering, so a template is a stage file's source side
+    mentions = find_view_mentions({args.language: text}, table, args.edit_threshold)
+    found = mentions[args.language]
     template_rows = []
     dict_rows = []
-    for lid, tokens in text.lines.items():
-        tagged = tag_sentence(tokens, args.language, table, args.edit_threshold)
-        template_rows.append(f"{lid}\t{' '.join(tagged.template)}")
-        for name, (entity_id, surface) in tagged.source_dict.items():
-            dict_rows.append(f"{lid}\t{name}\t{entity_id}\t{surface}")
+    for lid, (template, binding) in zip(text.lines, render_sources(text, mentions, text.lines)):
+        template_rows.append(f"{lid}\t{' '.join(template)}")
+        surfaces: dict[str, str] = {}
+        for mention in found[lid]:
+            surfaces.setdefault(mention.entity_id, mention.surface)
+        # a binding lists its entities in placeholder order
+        for entity_id, name in binding.items():
+            dict_rows.append(f"{lid}\t{name}\t{entity_id}\t{surfaces[entity_id]}")
     write_lines(args.output, template_rows)
     if args.dicts:
         write_lines(args.dicts, dict_rows)
@@ -103,6 +117,7 @@ def _cmd_detag(args) -> int:
     table = load_lexicon(args.lexicon)
     text = load_text(args.input, args.language)
     dicts = _read_dicts(args.dicts)
+    _warn_if_absent(table, args.language, "every placeholder takes its source surface")
     dropped: Counter = Counter()
     rows = []
     for lid, tokens in text.lines.items():

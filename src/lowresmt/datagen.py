@@ -69,18 +69,9 @@ def check_language_code(code: str) -> None:
         raise ValueError(f"language code {code!r} must be non-empty and hold no whitespace")
 
 
-@dataclass(frozen=True)
-class DirectionTag:
-    """Source/target language pair rendered as two leading tag tokens."""
-
-    src: str
-    tgt: str
-
-    def tokens(self) -> tuple[str, str]:
-        return (f"{SRC_TAG_PREFIX}{self.src}", f"{TGT_TAG_PREFIX}{self.tgt}")
-
-    def render(self) -> str:
-        return " ".join(self.tokens())
+def direction_tag(src: str, tgt: str) -> str:
+    """The two leading tag tokens of a ``src`` -> ``tgt`` source line, joined."""
+    return f"{SRC_TAG_PREFIX}{src} {TGT_TAG_PREFIX}{tgt}"
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,7 @@ def render_sources(
     a line without, as every line is without a lexicon, is its own
     tokens, bound to nothing.  The writer renders each language's lines
     once per split and reuses them for every pair; the shared vocabulary
-    counts the same templates.
+    counts the same templates, and ``tag`` writes them.
     """
     lines = text.lines
     found = mentions[text.language]
@@ -175,15 +166,13 @@ def _write_split(
     view: View,
     out_dir: str | Path,
     split_name: str,
-    mentions: Mentions | None,
+    mentions: Mentions,
 ) -> dict:
     """Write ``pairs`` over the line ids of the first pair's source, in its order."""
     ids = list(view[pairs[0][0]].lines)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     src_name, tgt_name = f"{split_name}.src", f"{split_name}.tgt"
-    if mentions is None:
-        mentions = find_view_mentions(view, None)
     # every language of the split, star target included, is rendered once
     rendered = {
         lang: _render_lines(view[lang], mentions, ids)
@@ -195,7 +184,7 @@ def _write_split(
     ):
         for a, b in pairs:
             joined, entities = rendered[a]
-            tag = DirectionTag(a, b).render()
+            tag = direction_tag(a, b)
             targets = pair_templates(entities, view[b], rendered[b], mentions, ids)
             if ids:
                 src_file.write(f"{tag} " + f"\n{tag} ".join(joined) + "\n")
@@ -215,7 +204,7 @@ def emit_complete(
     out_dir: str | Path,
     split_name: str = "train",
     *,
-    mentions: Mentions | None = None,
+    mentions: Mentions,
 ) -> dict:
     """Write every ordered language pair: k(k-1)*n examples.
 
@@ -234,7 +223,7 @@ def emit_star(
     out_dir: str | Path,
     split_name: str = "train",
     *,
-    mentions: Mentions | None = None,
+    mentions: Mentions,
 ) -> dict:
     """Write every source into the single target: |sources|*n examples.
 
@@ -281,9 +270,11 @@ def write_vocab(vocab: Sequence[str], path: str | Path) -> str:
 def find_view_mentions(
     view: View, table: LexiconTable | None, edit_threshold: int = 2
 ) -> Mentions:
-    """Precompute entity mentions per language and line for pair emission.
+    """Entity mentions per language and line, as ``render_sources`` reads them.
 
-    Without a table no line has a mention, so every line is written as is.
+    The pipeline searches its whole corpora once and every stage renders
+    from the map; ``tag`` searches its one language.  Without a table no
+    line has a mention, so every line is written as is.
     """
     if table is None:
         return {lang: dict.fromkeys(text.lines, ()) for lang, text in view.items()}
@@ -343,7 +334,7 @@ def stage_splits(
 def emit_stage(
     spec: StageSpec,
     corpora: Mapping[str, ParallelText],
-    mentions: Mentions | None = None,
+    mentions: Mentions,
 ) -> dict:
     """Write each planned split of one stage and return its manifest fragment.
 

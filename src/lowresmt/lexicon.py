@@ -176,14 +176,6 @@ class Mention:
     surface: str
 
 
-@dataclass(frozen=True)
-class TaggedSentence:
-    """Placeholder template plus the ordered placeholder -> entity map."""
-
-    template: tuple[str, ...]
-    source_dict: dict[str, tuple[str, str]]
-
-
 TargetDictionary = dict[str, str]
 
 
@@ -285,31 +277,13 @@ def render_template(
     return tuple(out)
 
 
-def tag_sentence(
-    tokens: Tokens, source_language: str, table: LexiconTable, edit_threshold: int = 2
-) -> TaggedSentence:
-    """Replace entity mentions with placeholders numbered by first appearance.
-
-    Repeated mentions of one entity reuse one placeholder; the source
-    dictionary records the first matched surface.
-    """
-    mentions = find_mentions(tokens, source_language, table, edit_threshold)
-    binding = bind(mentions)
-    source_dict: dict[str, tuple[str, str]] = {}
-    for mention in mentions:
-        source_dict.setdefault(binding[mention.entity_id], (mention.entity_id, mention.surface))
-    return TaggedSentence(
-        template=render_template(tokens, mentions, binding), source_dict=source_dict
-    )
-
-
 def build_target_dictionary(
     source_dict: Mapping[str, tuple[str, str]], target_language: str, table: LexiconTable
 ) -> TargetDictionary:
     """Map each placeholder to its first listed target surface.
 
     ``source_dict`` maps placeholder -> (entity id, matched source
-    surface), as ``TaggedSentence.source_dict`` holds it.
+    surface) for one line, as ``tag --dicts`` writes it.
 
     Entities missing in the target language fall back to the matched
     source surface, which at least carries the name across.

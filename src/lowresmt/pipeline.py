@@ -15,11 +15,11 @@ from pathlib import Path
 
 from .corpus import ParallelText, SplitSpec, load_candidates, load_text, write_lines
 from .datagen import (
-    DirectionTag,
     Mentions,
     StageSpec,
     build_vocab,
     check_language_code,
+    direction_tag,
     emit_stage,
     file_sha256,
     find_view_mentions,
@@ -244,14 +244,14 @@ def build_shared_vocab(
     target, whose pairs include stage 3's).
     """
     languages = [*family.members, config.target]
-    tags = [DirectionTag(a, b) for a in languages for b in languages if a != b]
+    tags = [direction_tag(a, b) for a in languages for b in languages if a != b]
     templates = (
         template
         for lang in languages
         for template, _ in render_sources(corpora[lang], mentions, corpora[lang].lines)
     )
     unbound = unbound_surfaces(family.members, mentions) | unbound_surfaces(languages, mentions)
-    tag_tokens = [token for tag in tags for token in tag.tokens()]
+    tag_tokens = [token for tag in tags for token in tag.split()]
     placeholders = [placeholder(index) for index in range(config.max_ne)]
     return build_vocab(templates, [*tag_tokens, *placeholders, *unbound])
 

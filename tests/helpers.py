@@ -17,6 +17,7 @@ from lowresmt.align import (
     viterbi_align,
 )
 from lowresmt.corpus import ParallelText, read_rows
+from lowresmt.datagen import find_view_mentions, render_sources
 from lowresmt.lexicon import LexiconTable, bind, render_template
 from lowresmt.synth import make_vocab
 
@@ -65,6 +66,21 @@ def entity_sentence(
     return tokens, ordered
 
 
+def tag_line(tokens, language, table, edit_threshold=2):
+    """One line as ``lowresmt tag`` writes it: its template and its dictionary.
+
+    The dictionary maps each placeholder, in order, to its entity id and
+    the entity's first matched surface.
+    """
+    text = ParallelText(language, {"0": tuple(tokens)})
+    mentions = find_view_mentions({language: text}, table, edit_threshold)
+    [(template, binding)] = render_sources(text, mentions, ["0"])
+    surfaces = {}
+    for mention in mentions[language]["0"]:
+        surfaces.setdefault(mention.entity_id, mention.surface)
+    return template, {name: (entity_id, surfaces[entity_id]) for entity_id, name in binding.items()}
+
+
 def oracle_pair_templates(source_tokens, source_mentions, target_tokens, target_mentions):
     """Templates for one training pair, numbering bound on the source side, example by example."""
     binding = bind(source_mentions)
@@ -80,11 +96,9 @@ def oracle_split_bytes(pairs, view, mentions) -> tuple[bytes, bytes]:
     src_lines, tgt_lines = [], []
     for src, tgt in pairs:
         for lid in ids:
-            src_tokens, tgt_tokens = view[src].lines[lid], view[tgt].lines[lid]
-            if mentions is not None:
-                src_tokens, tgt_tokens = oracle_pair_templates(
-                    src_tokens, mentions[src][lid], tgt_tokens, mentions[tgt][lid]
-                )
+            src_tokens, tgt_tokens = oracle_pair_templates(
+                view[src].lines[lid], mentions[src][lid], view[tgt].lines[lid], mentions[tgt][lid]
+            )
             src_lines.append(f"__opt_src_{src} __opt_tgt_{tgt} {' '.join(src_tokens)}\n")
             tgt_lines.append(f"{' '.join(tgt_tokens)}\n")
     return "".join(src_lines).encode("utf-8"), "".join(tgt_lines).encode("utf-8")

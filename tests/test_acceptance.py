@@ -9,14 +9,14 @@ import random
 import time
 from pathlib import Path
 
-from helpers import make_entity_table, make_filler_words
+from helpers import make_entity_table, make_filler_words, tag_line
 from lowresmt.align import collect_statistics, train_alignment
 from lowresmt.bleu import corpus_bleu
 from lowresmt.cli import main
 from lowresmt.combine import TranslationCluster, select_center
 from lowresmt.corpus import ParallelText
-from lowresmt.datagen import emit_complete, emit_star, file_sha256
-from lowresmt.lexicon import LexiconTable, build_target_dictionary, detag, tag_sentence
+from lowresmt.datagen import emit_complete, emit_star, file_sha256, find_view_mentions
+from lowresmt.lexicon import LexiconTable, build_target_dictionary, detag
 from lowresmt.rank import famd_score, famp_score, rank_languages
 from lowresmt.synth import noised_copy, random_text, renamed_copy, shuffled_copy
 
@@ -113,9 +113,9 @@ def test_lexicon_round_trip():
         tokens = rng.sample(filler, rng.randint(2, 7))
         for entity_id in rng.sample(sorted(table.entities), rng.randint(0, 4)):
             tokens.insert(rng.randint(0, len(tokens)), table.forms(entity_id, "src")[0])
-        tagged = tag_sentence(tokens, "src", table)
-        target_dict = build_target_dictionary(tagged.source_dict, "tgt", table)
-        restored, dropped = detag(tagged.template, target_dict)
+        template, source_dict = tag_line(tokens, "src", table)
+        target_dict = build_target_dictionary(source_dict, "tgt", table)
+        restored, dropped = detag(template, target_dict)
         expected = [surface_to_target.get(token, token) for token in tokens]
         if restored != expected or dropped:
             failures += 1
@@ -129,7 +129,7 @@ def test_lexicon_round_trip():
         }
     )
     sentence = "Fatma asks her sister Wati to call Yi , the brother of Andika".split()
-    template = " ".join(tag_sentence(sentence, "en", paper_table).template)
+    template = " ".join(tag_line(sentence, "en", paper_table)[0])
     template_ok = template == (
         "__NE0 asks her sister __NE1 to call __NE2 , the brother of __NE3"
     )
@@ -157,17 +157,22 @@ def test_dataset_counts():
     for k in (2, 3, 11):
         for n in (1, 10, 1038):
             languages, view = make_view(k, n)
+            mentions = find_view_mentions(view, None)
             import tempfile
 
             with tempfile.TemporaryDirectory() as tmp:
                 complete_first = emit_complete(
-                    languages, view, Path(tmp) / "a", "train"
+                    languages, view, Path(tmp) / "a", "train", mentions=mentions
                 )["examples"]
-                emit_complete(languages, view, Path(tmp) / "b", "train")
+                emit_complete(languages, view, Path(tmp) / "b", "train", mentions=mentions)
                 star_first = emit_star(
-                    languages[:-1], languages[-1], view, Path(tmp) / "c", "train"
+                    languages[:-1], languages[-1], view, Path(tmp) / "c", "train",
+                    mentions=mentions,
                 )["examples"]
-                emit_star(languages[:-1], languages[-1], view, Path(tmp) / "d", "train")
+                emit_star(
+                    languages[:-1], languages[-1], view, Path(tmp) / "d", "train",
+                    mentions=mentions,
+                )
                 identical = file_sha256(Path(tmp) / "a" / "train.src") == file_sha256(
                     Path(tmp) / "b" / "train.src"
                 ) and file_sha256(Path(tmp) / "c" / "train.tgt") == file_sha256(

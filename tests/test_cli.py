@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -174,7 +175,7 @@ class TestRank:
 
 
 class TestTagDetag:
-    def test_file_round_trip(self, tmp_path):
+    def test_file_round_trip(self, tmp_path, caplog):
         lexicon = write(
             tmp_path / "lex.tsv", "e1\ten\tYi\ne1\tde\tJi\ne2\ten\tWati\ne2\tde\tVati\n"
         )
@@ -207,6 +208,8 @@ class TestTagDetag:
             ]
         ) == 0
         assert load_text(detagged, "de").lines["L1"] == ("Ji", "calls", "Vati")
+        # both languages are in the lexicon, so neither command warns
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_byte_order_mark_in_dicts_keeps_first_line(self, tmp_path):
         lexicon = write(tmp_path / "lex.tsv", "e1\ten\tYi\ne1\tde\tJi\n")
@@ -295,6 +298,47 @@ class TestTagDetag:
         ) == 0
         assert tagged.read_bytes() == (FIXTURES / "e2e_tag_lrx.txt").read_bytes()
         assert dicts.read_bytes() == (FIXTURES / "e2e_tag_lrx_dicts.tsv").read_bytes()
+
+    def test_tag_warns_once_for_a_language_the_lexicon_lacks(self, tmp_path, caplog):
+        lexicon = write(tmp_path / "lex.tsv", "e1\ten\tYi\ne1\tde\tJi\n")
+        corpus = write(tmp_path / "in.txt", "L1\tYi calls Ji\nL2\tJi again\n")
+        tagged = tmp_path / "tagged.txt"
+        dicts = tmp_path / "dicts.tsv"
+        assert main(
+            [
+                "tag",
+                "--input", str(corpus),
+                "--language", "zzz",
+                "--lexicon", str(lexicon),
+                "--output", str(tagged),
+                "--dicts", str(dicts),
+            ]
+        ) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "'zzz'" in warnings[0]
+        assert tagged.read_bytes() == corpus.read_bytes()
+        assert dicts.read_text(encoding="utf-8") == ""
+
+    def test_detag_warns_once_for_a_language_the_lexicon_lacks(self, tmp_path, caplog):
+        lexicon = write(tmp_path / "lex.tsv", "e1\ten\tYi\ne1\tde\tJi\n")
+        model_output = write(tmp_path / "model.txt", "V1\t__NE0 ruft\nV2\t__NE0 __NE0\n")
+        dicts = write(tmp_path / "dicts.tsv", "V1\t__NE0\te1\tYi\nV2\t__NE0\te1\tYi\n")
+        decoded = tmp_path / "zzz.txt"
+        assert main(
+            [
+                "detag",
+                "--input", str(model_output),
+                "--dicts", str(dicts),
+                "--language", "zzz",
+                "--lexicon", str(lexicon),
+                "--output", str(decoded),
+            ]
+        ) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "'zzz'" in warnings[0]
+        assert decoded.read_text(encoding="utf-8") == "V1\tYi ruft\nV2\tYi Yi\n"
 
     def test_negative_edit_threshold_exits_one_before_reading(self, tmp_path, caplog):
         absent = tmp_path / "absent"

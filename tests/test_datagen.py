@@ -10,10 +10,10 @@ import lowresmt.datagen
 from helpers import oracle_split_bytes
 from lowresmt.corpus import ParallelText, SplitSpec
 from lowresmt.datagen import (
-    DirectionTag,
     StageSpec,
     _render_lines,
     build_vocab,
+    direction_tag,
     emit_complete,
     emit_star,
     emit_stage,
@@ -40,13 +40,14 @@ def make_view(k, n, prefix="l"):
 
 class TestDirectionTag:
     def test_render(self):
-        assert DirectionTag("ca", "ck").render() == "__opt_src_ca __opt_tgt_ck"
+        assert direction_tag("ca", "ck") == "__opt_src_ca __opt_tgt_ck"
 
 
 class TestEmitComplete:
     def test_count_formula(self, tmp_path):
         languages, view = make_view(3, 10)
-        entry = emit_complete(languages, view, tmp_path, "train")
+        mentions = find_view_mentions(view, None)
+        entry = emit_complete(languages, view, tmp_path, "train", mentions=mentions)
         assert entry["examples"] == 3 * 2 * 10
         assert len((tmp_path / "train.src").read_text().splitlines()) == 60
         assert len((tmp_path / "train.tgt").read_text().splitlines()) == 60
@@ -60,19 +61,20 @@ class TestEmitComplete:
 
     def test_two_languages_gives_both_directions(self, tmp_path):
         languages, view = make_view(2, 1)
-        emit_complete(languages, view, tmp_path, "train")
+        emit_complete(languages, view, tmp_path, "train", mentions=find_view_mentions(view, None))
         src = (tmp_path / "train.src").read_text().splitlines()
         assert src[0].startswith("__opt_src_l0 __opt_tgt_l1 ")
         assert src[1].startswith("__opt_src_l1 __opt_tgt_l0 ")
 
     def test_stage_two_shape(self, tmp_path):
         languages, view = make_view(11, 3)
-        count = emit_complete(languages, view, tmp_path, "train")["examples"]
+        mentions = find_view_mentions(view, None)
+        count = emit_complete(languages, view, tmp_path, "train", mentions=mentions)["examples"]
         assert count == 11 * 10 * 3
 
     def test_every_source_line_carries_a_wellformed_tag(self, tmp_path):
         languages, view = make_view(3, 4)
-        emit_complete(languages, view, tmp_path, "train")
+        emit_complete(languages, view, tmp_path, "train", mentions=find_view_mentions(view, None))
         for row in (tmp_path / "train.src").read_text().splitlines():
             first, second, *_ = row.split(" ")
             assert first.startswith("__opt_src_")
@@ -82,8 +84,9 @@ class TestEmitComplete:
 
     def test_byte_identical_across_runs(self, tmp_path):
         languages, view = make_view(3, 25)
-        emit_complete(languages, view, tmp_path / "a", "train")
-        emit_complete(languages, view, tmp_path / "b", "train")
+        mentions = find_view_mentions(view, None)
+        emit_complete(languages, view, tmp_path / "a", "train", mentions=mentions)
+        emit_complete(languages, view, tmp_path / "b", "train", mentions=mentions)
         for name in ("train.src", "train.tgt"):
             assert file_sha256(tmp_path / "a" / name) == file_sha256(tmp_path / "b" / name)
 
@@ -91,12 +94,16 @@ class TestEmitComplete:
 class TestEmitStar:
     def test_count_is_linear(self, tmp_path):
         languages, view = make_view(11, 1038)
-        count = emit_star(languages[:10], languages[10], view, tmp_path, "train")["examples"]
+        mentions = find_view_mentions(view, None)
+        count = emit_star(
+            languages[:10], languages[10], view, tmp_path, "train", mentions=mentions
+        )["examples"]
         assert count == 10 * 1038
 
     def test_single_source_is_plain_tagged_bitext(self, tmp_path):
         languages, view = make_view(2, 3)
-        count = emit_star(["l0"], "l1", view, tmp_path, "train")["examples"]
+        mentions = find_view_mentions(view, None)
+        count = emit_star(["l0"], "l1", view, tmp_path, "train", mentions=mentions)["examples"]
         assert count == 3
         src = (tmp_path / "train.src").read_text().splitlines()
         assert all(row.startswith("__opt_src_l0 __opt_tgt_l1 ") for row in src)
@@ -127,9 +134,10 @@ class TestSymmetrize:
 
 
 def emit_either(configuration, languages, view, out_dir):
+    mentions = find_view_mentions(view, None)
     if configuration == "complete":
-        return emit_complete(languages, view, out_dir, "train")
-    return emit_star(languages[:-1], languages[-1], view, out_dir, "train")
+        return emit_complete(languages, view, out_dir, "train", mentions=mentions)
+    return emit_star(languages[:-1], languages[-1], view, out_dir, "train", mentions=mentions)
 
 
 @pytest.mark.parametrize("configuration", ["complete", "star"])
@@ -159,8 +167,8 @@ class TestBuildVocab:
 
     def test_placeholders_and_tags_present(self):
         a = ParallelText("a", {"0": ("x",)})
-        tags = [DirectionTag("a", "b"), DirectionTag("b", "a")]
-        reserved = [*(token for tag in tags for token in tag.tokens()), *map(placeholder, range(4))]
+        tags = [direction_tag("a", "b"), direction_tag("b", "a")]
+        reserved = [*(token for tag in tags for token in tag.split()), *map(placeholder, range(4))]
         vocab = build_vocab(a.lines.values(), reserved=reserved)
         for token in ("__opt_src_a", "__opt_tgt_b", "__opt_src_b", "__opt_tgt_a"):
             assert token in vocab
@@ -193,7 +201,8 @@ class TestEmitStage:
 
     def test_stage1_complete_over_family_excludes_low(self, tmp_path):
         languages, corpora = self.corpora()
-        fragment = emit_stage(self.spec(1, languages, corpora, tmp_path), corpora)
+        mentions = find_view_mentions(corpora, None)
+        fragment = emit_stage(self.spec(1, languages, corpora, tmp_path), corpora, mentions)
         assert fragment["configuration"] == "complete"
         assert fragment["languages"] == list(languages)
         assert fragment["splits"]["train"]["examples"] == 3 * 2 * 32
@@ -203,7 +212,8 @@ class TestEmitStage:
 
     def test_stage2_complete_includes_low_on_its_ids(self, tmp_path):
         languages, corpora = self.corpora()
-        fragment = emit_stage(self.spec(2, languages, corpora, tmp_path), corpora)
+        mentions = find_view_mentions(corpora, None)
+        fragment = emit_stage(self.spec(2, languages, corpora, tmp_path), corpora, mentions)
         assert fragment["languages"] == [*languages, "low"]
         # 4 languages over the 20 low-resource lines
         assert fragment["splits"]["train"]["examples"] == 4 * 3 * 16
@@ -211,7 +221,8 @@ class TestEmitStage:
 
     def test_stage3_star_into_low(self, tmp_path):
         languages, corpora = self.corpora()
-        fragment = emit_stage(self.spec(3, languages, corpora, tmp_path), corpora)
+        mentions = find_view_mentions(corpora, None)
+        fragment = emit_stage(self.spec(3, languages, corpora, tmp_path), corpora, mentions)
         assert fragment["configuration"] == "star"
         assert fragment["splits"]["train"]["examples"] == 3 * 16
         src = (tmp_path / "stage3" / "train.src").read_text().splitlines()
@@ -219,8 +230,9 @@ class TestEmitStage:
 
     def test_manifest_checksums_are_reproducible(self, tmp_path):
         languages, corpora = self.corpora()
-        first = emit_stage(self.spec(2, languages, corpora, tmp_path / "a"), corpora)
-        second = emit_stage(self.spec(2, languages, corpora, tmp_path / "b"), corpora)
+        mentions = find_view_mentions(corpora, None)
+        first = emit_stage(self.spec(2, languages, corpora, tmp_path / "a"), corpora, mentions)
+        second = emit_stage(self.spec(2, languages, corpora, tmp_path / "b"), corpora, mentions)
         assert (
             first["splits"]["train"]["src_sha256"]
             == second["splits"]["train"]["src_sha256"]
@@ -296,7 +308,7 @@ def tagged_views(draw):
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_block_writer_matches_the_per_example_oracle(configuration, case, tagged):
     languages, view, table = case
-    mentions = find_view_mentions(view, table) if tagged else None
+    mentions = find_view_mentions(view, table if tagged else None)
     if configuration == "complete":
         pairs = [(a, b) for a in languages for b in languages if a != b]
     else:
@@ -381,5 +393,6 @@ def test_a_split_renders_each_language_once(monkeypatch, tmp_path, configuration
 
 def test_an_empty_split_writes_empty_files(tmp_path):
     view = {lang: ParallelText(lang, {}) for lang in ("l0", "l1")}
-    assert emit_complete(["l0", "l1"], view, tmp_path, "train")["examples"] == 0
+    mentions = find_view_mentions(view, None)
+    assert emit_complete(["l0", "l1"], view, tmp_path, "train", mentions=mentions)["examples"] == 0
     assert (tmp_path / "train.src").read_bytes() == (tmp_path / "train.tgt").read_bytes() == b""

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowresmt.lexicon
-from helpers import make_entity_table, make_filler_words
+from helpers import make_entity_table, make_filler_words, tag_line
 from lowresmt.corpus import ParallelText
 from lowresmt.datagen import _render_lines, pair_templates
 from lowresmt.lexicon import (
@@ -25,7 +25,6 @@ from lowresmt.lexicon import (
     load_lexicon,
     placeholder,
     render_template,
-    tag_sentence,
 )
 
 
@@ -159,11 +158,11 @@ class TestLoadLexicon:
 class TestTagSentence:
     def test_four_entity_sentence(self):
         tokens = "Fatma asks her sister Wati to call Yi , the brother of Andika".split()
-        tagged = tag_sentence(tokens, "en", FOUR_NAMES)
-        assert " ".join(tagged.template) == (
+        template, source_dict = tag_line(tokens, "en", FOUR_NAMES)
+        assert " ".join(template) == (
             "__NE0 asks her sister __NE1 to call __NE2 , the brother of __NE3"
         )
-        assert tagged.source_dict == {
+        assert source_dict == {
             "__NE0": ("e_fatma", "Fatma"),
             "__NE1": ("e_wati", "Wati"),
             "__NE2": ("e_yi", "Yi"),
@@ -172,77 +171,77 @@ class TestTagSentence:
 
     def test_sentence_without_entities_is_unchanged(self):
         tokens = "nothing to see here".split()
-        tagged = tag_sentence(tokens, "en", FOUR_NAMES)
-        assert tagged.template == tuple(tokens)
-        assert tagged.source_dict == {}
+        template, source_dict = tag_line(tokens, "en", FOUR_NAMES)
+        assert template == tuple(tokens)
+        assert source_dict == {}
 
     def test_fuzzy_match_within_threshold(self):
         # oracle-checked distance: one trailing insertion
         assert oracle_levenshtein("andikas", "andika") == 1
         assert levenshtein("andikas", "andika") == 1
-        tagged = tag_sentence("call Andikas now".split(), "en", FOUR_NAMES, 2)
-        assert tagged.template == ("call", "__NE0", "now")
-        assert tagged.source_dict["__NE0"] == ("e_andika", "Andikas")
+        template, source_dict = tag_line("call Andikas now".split(), "en", FOUR_NAMES, 2)
+        assert template == ("call", "__NE0", "now")
+        assert source_dict["__NE0"] == ("e_andika", "Andikas")
 
     def test_fuzzy_respects_length_cap(self):
         table = LexiconTable({"e": {"en": ["Bodi"]}})
         # "Bo" is 2 edits from "Bodi", inside the threshold, but the
         # short-token cap ceil(2/3) = 1 rejects it
-        assert tag_sentence(["Bo"], "en", table, 2).source_dict == {}
+        assert tag_line(["Bo"], "en", table, 2)[1] == {}
         # a 6-char variant at distance 2 passes: cap = ceil(6/3) = 2
-        assert tag_sentence(["Bodixx"], "en", table, 2).template == ("__NE0",)
+        assert tag_line(["Bodixx"], "en", table, 2)[0] == ("__NE0",)
 
     def test_fuzzy_disabled_at_zero_threshold(self):
-        tagged = tag_sentence("call Andikas now".split(), "en", FOUR_NAMES, 0)
-        assert tagged.source_dict == {}
+        _, source_dict = tag_line("call Andikas now".split(), "en", FOUR_NAMES, 0)
+        assert source_dict == {}
 
     def test_fuzzy_never_overrides_exact(self):
         table = LexiconTable(
             {"e_exact": {"en": ["Madika"]}, "e_fuzzy": {"en": ["Madikas"]}}
         )
-        tagged = tag_sentence(["Madika"], "en", table, 2)
-        assert tagged.source_dict["__NE0"][0] == "e_exact"
+        _, source_dict = tag_line(["Madika"], "en", table, 2)
+        assert source_dict["__NE0"][0] == "e_exact"
 
     def test_repeated_entity_shares_placeholder(self):
-        tagged = tag_sentence("Yi calls Yi again".split(), "en", FOUR_NAMES)
-        assert tagged.template == ("__NE0", "calls", "__NE0", "again")
-        assert list(tagged.source_dict) == ["__NE0"]
+        template, source_dict = tag_line("Yi calls Yi again".split(), "en", FOUR_NAMES)
+        assert template == ("__NE0", "calls", "__NE0", "again")
+        assert list(source_dict) == ["__NE0"]
 
     def test_multi_token_longest_match_wins(self):
         table = LexiconTable(
             {"e_simon": {"en": ["Simon"]}, "e_simon_peter": {"en": ["Simon Peter"]}}
         )
-        tagged = tag_sentence("then Simon Peter spoke".split(), "en", table)
-        assert tagged.template == ("then", "__NE0", "spoke")
-        assert tagged.source_dict["__NE0"][0] == "e_simon_peter"
+        template, source_dict = tag_line("then Simon Peter spoke".split(), "en", table)
+        assert template == ("then", "__NE0", "spoke")
+        assert source_dict["__NE0"][0] == "e_simon_peter"
 
     def test_leftmost_wins_on_overlap(self):
         table = LexiconTable(
             {"e_ab": {"en": ["Alba Bruk"]}, "e_bc": {"en": ["Bruk Corin"]}}
         )
-        tagged = tag_sentence("Alba Bruk Corin".split(), "en", table)
-        assert tagged.template == ("__NE0", "Corin")
+        template, _ = tag_line("Alba Bruk Corin".split(), "en", table)
+        assert template == ("__NE0", "Corin")
 
     def test_case_variant_matches_at_distance_zero(self):
-        tagged = tag_sentence(["FATMA"], "en", FOUR_NAMES, 2)
-        assert tagged.source_dict["__NE0"][0] == "e_fatma"
+        _, source_dict = tag_line(["FATMA"], "en", FOUR_NAMES, 2)
+        assert source_dict["__NE0"][0] == "e_fatma"
 
     def test_variable_binding_swap(self):
         table = LexiconTable({"e_ian": {"en": ["Ian"]}, "e_yi": {"en": ["Yi"]}})
-        forward = tag_sentence("Ian calls Yi".split(), "en", table)
-        backward = tag_sentence("Yi calls Ian".split(), "en", table)
-        assert forward.template == backward.template == ("__NE0", "calls", "__NE1")
-        assert forward.source_dict["__NE0"] == ("e_ian", "Ian")
-        assert backward.source_dict["__NE0"] == ("e_yi", "Yi")
-        assert forward.source_dict["__NE1"] == ("e_yi", "Yi")
-        assert backward.source_dict["__NE1"] == ("e_ian", "Ian")
+        forward, forward_dict = tag_line("Ian calls Yi".split(), "en", table)
+        backward, backward_dict = tag_line("Yi calls Ian".split(), "en", table)
+        assert forward == backward == ("__NE0", "calls", "__NE1")
+        assert forward_dict["__NE0"] == ("e_ian", "Ian")
+        assert backward_dict["__NE0"] == ("e_yi", "Yi")
+        assert forward_dict["__NE1"] == ("e_yi", "Yi")
+        assert backward_dict["__NE1"] == ("e_ian", "Ian")
 
 
 class TestTargetDictionaryAndDetag:
     def test_german_decode_restores_all_names(self):
         tokens = "Fatma asks her sister Wati to call Yi , the brother of Andika".split()
-        tagged = tag_sentence(tokens, "en", FOUR_NAMES)
-        target_dict = build_target_dictionary(tagged.source_dict, "de", FOUR_NAMES)
+        _, source_dict = tag_line(tokens, "en", FOUR_NAMES)
+        target_dict = build_target_dictionary(source_dict, "de", FOUR_NAMES)
         german = "__NE0 bittet ihre Schwester __NE1 darum , __NE2 , den Bruder __NE3 , anzurufen".split()
         restored, dropped = detag(german, target_dict)
         assert " ".join(restored) == (
@@ -251,13 +250,13 @@ class TestTargetDictionaryAndDetag:
         assert dropped == []
 
     def test_missing_target_language_copies_source_surface(self):
-        tagged = tag_sentence(["Fatma"], "en", FOUR_NAMES)
-        target_dict = build_target_dictionary(tagged.source_dict, "xx", FOUR_NAMES)
+        _, source_dict = tag_line(["Fatma"], "en", FOUR_NAMES)
+        target_dict = build_target_dictionary(source_dict, "xx", FOUR_NAMES)
         assert target_dict == {"__NE0": "Fatma"}
 
     def test_same_entity_twice_gets_identical_surface(self):
-        tagged = tag_sentence("Yi calls Yi".split(), "en", FOUR_NAMES)
-        target_dict = build_target_dictionary(tagged.source_dict, "de", FOUR_NAMES)
+        _, source_dict = tag_line("Yi calls Yi".split(), "en", FOUR_NAMES)
+        target_dict = build_target_dictionary(source_dict, "de", FOUR_NAMES)
         restored, _ = detag(("__NE0", "ruft", "__NE0"), target_dict)
         assert restored == ["Yi", "ruft", "Yi"]
 
@@ -284,8 +283,8 @@ class TestTargetDictionaryAndDetag:
 
     def test_multi_token_target_surface_is_spliced(self):
         table = LexiconTable({"e": {"en": ["Simon"], "fr": ["Simon Pierre"]}})
-        tagged = tag_sentence(["Simon"], "en", table)
-        target_dict = build_target_dictionary(tagged.source_dict, "fr", table)
+        _, source_dict = tag_line(["Simon"], "en", table)
+        target_dict = build_target_dictionary(source_dict, "fr", table)
         restored, _ = detag(("voici", "__NE0"), target_dict)
         assert restored == ["voici", "Simon", "Pierre"]
 
@@ -324,9 +323,9 @@ class TestProperties:
             tokens.insert(
                 rng.randint(0, len(tokens)), table.forms(entity_id, "src")[0]
             )
-        tagged = tag_sentence(tokens, "src", table)
-        target_dict = build_target_dictionary(tagged.source_dict, "tgt", table)
-        restored, dropped = detag(tagged.template, target_dict)
+        template, source_dict = tag_line(tokens, "src", table)
+        target_dict = build_target_dictionary(source_dict, "tgt", table)
+        restored, dropped = detag(template, target_dict)
         entity_by_surface = {
             table.forms(eid, "src")[0]: eid for eid in entity_ids
         }
@@ -348,10 +347,10 @@ class TestProperties:
         tokens = rng.sample(filler, rng.randint(1, 5))
         for entity_id in rng.sample(sorted(table.entities), rng.randint(0, 5)):
             tokens.insert(rng.randint(0, len(tokens)), table.forms(entity_id, "src")[0])
-        tagged = tag_sentence(tokens, "src", table)
-        names = list(tagged.source_dict)
+        template, source_dict = tag_line(tokens, "src", table)
+        names = list(source_dict)
         assert names == [placeholder(i) for i in range(len(names))]
-        seen = [token for token in tagged.template if is_placeholder(token)]
+        seen = [token for token in template if is_placeholder(token)]
         assert list(dict.fromkeys(seen)) == names
 
     @given(case=rendering_cases())
@@ -362,7 +361,7 @@ class TestProperties:
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=80, derandomize=True)
-    def test_tag_sentence_template_is_the_pair_source_side(self, seed):
+    def test_tag_template_is_the_pair_source_side(self, seed):
         rng = random.Random(seed)
         table = make_entity_table(8, ["src", "tgt"], rng)
         filler = make_filler_words(12, rng)
@@ -374,7 +373,7 @@ class TestProperties:
             sides[lang] = tokens
         src, tgt = sides["src"], sides["tgt"]
         src_line, _ = pair_sides(table, src, "src", tgt, "tgt")
-        assert " ".join(tag_sentence(src, "src", table).template) == src_line
+        assert " ".join(tag_line(src, "src", table)[0]) == src_line
 
     def test_levenshtein_matches_oracle(self):
         rng = random.Random(3)

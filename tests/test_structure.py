@@ -11,6 +11,11 @@ Every comparison of line ids across texts goes through ``corpus.py``
 (``same_ids``, ``bitext``, ``restrict``, ``intersect``).  Outside it no
 module may test ``in``/``not in`` against a ``.lines`` attribute, or
 compare ``list(...)`` or ``set(...)`` of one with ``==``/``!=``.
+
+Tagging has one path, the pipeline's: ``find_view_mentions`` is the only
+caller of ``find_mentions``, and ``datagen``'s source and target
+rendering are the only callers of ``render_template``, so ``tag``
+writes exactly the templates the stage files hold.
 """
 import ast
 from pathlib import Path
@@ -86,6 +91,58 @@ def outside_corpus(detector) -> dict[str, list[str]]:
         for path in modules
         if (found := detector(path.read_text(encoding="utf-8")))
     }
+
+
+class CallSites(ast.NodeVisitor):
+    """The enclosing function of each call to ``name``, by its plain or attribute name."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.scope = ["<module>"]
+        self.found: list[str] = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == self.name:
+            self.found.append(self.scope[-1])
+        self.generic_visit(node)
+
+
+def call_sites(name: str, package: Path = PACKAGE) -> list[tuple[str, str]]:
+    """``(module, enclosing function)`` of every call to ``name`` in ``package``."""
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        visitor = CallSites(name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites.extend((path.name, function) for function in visitor.found)
+    return sites
+
+
+def test_one_tagger_searches_and_renders():
+    assert call_sites("find_mentions") == [("datagen.py", "find_view_mentions")]
+    assert sorted(call_sites("render_template")) == [
+        ("datagen.py", "pair_templates"),
+        ("datagen.py", "render_sources"),
+    ]
+
+
+def test_call_sites_name_the_enclosing_function(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def outer():\n"
+        "    def inner():\n"
+        "        return lexicon.f(1)\n"
+        "    return f(inner())\n"
+        "f(0)\n",
+        encoding="utf-8",
+    )
+    assert call_sites("f", tmp_path) == [("m.py", "inner"), ("m.py", "outer"), ("m.py", "<module>")]
 
 
 def test_package_writes_only_through_corpus():
