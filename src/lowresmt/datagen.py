@@ -8,8 +8,9 @@ Stage 3 keeps the symmetric subset but emits a star graph: every family
 member into the low-resource language only.
 
 ``stage_splits`` plans each split's line ids and checks the stage's data;
-the writer (``emit_stage``, ``emit_complete``, ``emit_star``) trusts that
-plan, checks nothing again and takes a split's ids from its first language.
+the writer (``emit_stage``, ``emit_complete``, ``emit_star``) takes the
+loaded texts and that plan, reads each split's lines by its planned ids,
+in their order, and checks nothing again.
 
 Every emitted source line starts with a direction tag pair
 ``__opt_src_<src> __opt_tgt_<tgt>`` and is entity-tagged first, so
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -72,17 +72,6 @@ def check_language_code(code: str) -> None:
 def direction_tag(src: str, tgt: str) -> str:
     """The two leading tag tokens of a ``src`` -> ``tgt`` source line, joined."""
     return f"{SRC_TAG_PREFIX}{src} {TGT_TAG_PREFIX}{tgt}"
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    """A planned stage: its family, split name -> line ids (``stage_splits``), out dir."""
-
-    stage: int
-    languages: tuple[str, ...]
-    low_resource: str
-    splits: dict[str, list[str]]
-    out_dir: Path
 
 
 def file_sha256(path: str | Path) -> str:
@@ -163,19 +152,19 @@ def _render_lines(
 
 def _write_split(
     pairs: Sequence[tuple[str, str]],
-    view: View,
+    texts: View,
+    ids: Sequence[str],
     out_dir: str | Path,
     split_name: str,
     mentions: Mentions,
 ) -> dict:
-    """Write ``pairs`` over the line ids of the first pair's source, in its order."""
-    ids = list(view[pairs[0][0]].lines)
+    """Write ``pairs`` over the lines ``ids`` of ``texts``, in the order of ``ids``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     src_name, tgt_name = f"{split_name}.src", f"{split_name}.tgt"
     # every language of the split, star target included, is rendered once
     rendered = {
-        lang: _render_lines(view[lang], mentions, ids)
+        lang: _render_lines(texts[lang], mentions, ids)
         for lang in dict.fromkeys(lang for pair in pairs for lang in pair)
     }
     with (
@@ -185,7 +174,7 @@ def _write_split(
         for a, b in pairs:
             joined, entities = rendered[a]
             tag = direction_tag(a, b)
-            targets = pair_templates(entities, view[b], rendered[b], mentions, ids)
+            targets = pair_templates(entities, texts[b], rendered[b], mentions, ids)
             if ids:
                 src_file.write(f"{tag} " + f"\n{tag} ".join(joined) + "\n")
                 tgt_file.write("\n".join(targets) + "\n")
@@ -200,38 +189,41 @@ def _write_split(
 
 def emit_complete(
     languages: Sequence[str],
-    view: View,
+    texts: View,
+    ids: Sequence[str],
     out_dir: str | Path,
     split_name: str = "train",
     *,
     mentions: Mentions,
 ) -> dict:
-    """Write every ordered language pair: k(k-1)*n examples.
+    """Write every ordered language pair over ``ids``: k(k-1)*n examples.
 
-    The lines are those of ``languages[0]`` in ``view``, in its order.
-    Returns the split's manifest entry: ``examples``, ``src``, ``tgt``
-    and the two files' sha256s, taken from the bytes as written.
+    Each language's lines are read from ``texts`` by id, in the order of
+    ``ids``; every language must hold every id.  Returns the split's
+    manifest entry: ``examples``, ``src``, ``tgt`` and the two files'
+    sha256s, taken from the bytes as written.
     """
     pairs = [(a, b) for a in languages for b in languages if a != b]
-    return _write_split(pairs, view, out_dir, split_name, mentions)
+    return _write_split(pairs, texts, ids, out_dir, split_name, mentions)
 
 
 def emit_star(
     sources: Sequence[str],
     target: str,
-    view: View,
+    texts: View,
+    ids: Sequence[str],
     out_dir: str | Path,
     split_name: str = "train",
     *,
     mentions: Mentions,
 ) -> dict:
-    """Write every source into the single target: |sources|*n examples.
+    """Write every source into the single target over ``ids``: |sources|*n examples.
 
-    The lines are those of ``sources[0]`` in ``view``, in its order.
-    Returns the split's manifest entry, as ``emit_complete`` does.
+    Lines are read as ``emit_complete`` reads them.  Returns the split's
+    manifest entry, as ``emit_complete`` does.
     """
     pairs = [(a, target) for a in sources]
-    return _write_split(pairs, view, out_dir, split_name, mentions)
+    return _write_split(pairs, texts, ids, out_dir, split_name, mentions)
 
 
 def symmetrize(low: ParallelText, sources: Sequence[ParallelText]) -> dict[str, ParallelText]:
@@ -332,44 +324,39 @@ def stage_splits(
 
 
 def emit_stage(
-    spec: StageSpec,
+    stage: int,
+    family: Sequence[str],
+    low_resource: str,
     corpora: Mapping[str, ParallelText],
+    splits: Mapping[str, Sequence[str]],
+    out_dir: str | Path,
+    *,
     mentions: Mentions,
 ) -> dict:
     """Write each planned split of one stage and return its manifest fragment.
 
-    Each split restricts every emitted language to its planned ids and
-    writes them; the plan was checked by ``stage_splits``, so nothing is
-    checked again.  One ``mentions`` map over the full texts serves every
-    stage.  The fragment records the configuration, languages, per-split
-    line and example counts and each file's checksum; it holds nothing
-    volatile, so repeated runs produce identical manifests.
+    ``splits`` is the stage's plan from ``stage_splits``: each split's
+    name and line ids.  Every split is written straight from the loaded
+    ``corpora`` by its ids; the plan was checked when it was made, so
+    nothing is checked again.  One ``mentions`` map over the full texts
+    serves every stage.  The fragment records the configuration,
+    languages, per-split line and example counts and each file's
+    checksum; it holds nothing volatile, so repeated runs produce
+    identical manifests.
     """
-    if spec.stage == 1:
-        emit_languages = list(spec.languages)
-    else:
-        emit_languages = [*spec.languages, spec.low_resource]
-    configuration = "star" if spec.stage == 3 else "complete"
-
-    splits: dict[str, dict] = {}
-    for name, ids in spec.splits.items():
-        view = {lang: restrict(corpora[lang], ids) for lang in emit_languages}
+    emit_languages = list(family) if stage == 1 else [*family, low_resource]
+    configuration = "star" if stage == 3 else "complete"
+    entries: dict[str, dict] = {}
+    for name, ids in splits.items():
         if configuration == "star":
-            entry = emit_star(
-                list(spec.languages),
-                spec.low_resource,
-                view,
-                spec.out_dir,
-                name,
-                mentions=mentions,
-            )
+            entry = emit_star(family, low_resource, corpora, ids, out_dir, name, mentions=mentions)
         else:
-            entry = emit_complete(emit_languages, view, spec.out_dir, name, mentions=mentions)
-        splits[name] = {**entry, "lines": len(ids)}
+            entry = emit_complete(emit_languages, corpora, ids, out_dir, name, mentions=mentions)
+        entries[name] = {**entry, "lines": len(ids)}
     return {
-        "stage": spec.stage,
+        "stage": stage,
         "configuration": configuration,
         "languages": emit_languages,
-        "low_resource": spec.low_resource,
-        "splits": splits,
+        "low_resource": low_resource,
+        "splits": entries,
     }

@@ -16,7 +16,6 @@ from pathlib import Path
 from .corpus import ParallelText, SplitSpec, load_candidates, load_text, write_lines
 from .datagen import (
     Mentions,
-    StageSpec,
     build_vocab,
     check_language_code,
     direction_tag,
@@ -267,9 +266,12 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     (see ``resolve_family``).  As each member loads: an empty line in
     it.  Then every requested stage is planned (``stage_splits``), so no
     shared id, a member lacking a target id and an empty split fail
-    before mention search, ``vocab.txt`` or any stage file; the writer
-    trusts the plan.  Only the target's, the candidates' and the
-    family's corpora are loaded.
+    before mention search, ``vocab.txt`` or any stage file.  Stage 1
+    keeps the ids the whole family shares and logs one warning naming
+    each member that loses lines, and how many.  Each stage is written
+    from the loaded corpora by its planned ids, which the writer trusts.
+    Only the target's, the candidates' and the family's corpora are
+    loaded.
 
     Returns the manifest written to out_dir/manifest.json.  The manifest
     carries no timestamps or absolute paths, so reruns are comparable
@@ -305,17 +307,20 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         check_no_empty_line(corpora[lang])
     corpora[config.target] = target_text
     # plan every stage before mention search, vocab.txt or any stage file
-    specs = []
+    plans = {}
     for stage in stages:
         ratios = config.stage1_ratios if stage == 1 else config.stage2_ratios
         split = SplitSpec(ratios, seed=config.seed, mode=config.split_mode)
-        specs.append(StageSpec(
-            stage=stage,
-            languages=family.members,
-            low_resource=config.target,
-            splits=stage_splits(stage, family.members, config.target, corpora, split),
-            out_dir=config.out_dir / f"stage{stage}",
-        ))
+        plans[stage] = stage_splits(stage, family.members, config.target, corpora, split)
+    if 1 in plans:
+        # stage 1 keeps only the ids the whole family shares
+        shared = sum(map(len, plans[1].values()))
+        lost = {lang: len(corpora[lang]) - shared for lang in family.members}
+        if any(lost.values()):
+            log.warning(
+                "stage 1 keeps the %d line ids the family shares; lines lost: %s",
+                shared, ", ".join(f"{lang} {count}" for lang, count in lost.items() if count),
+            )
 
     mentions = find_view_mentions(corpora, table, config.edit_threshold)
     del table
@@ -337,9 +342,12 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         },
         "stages": {},
     }
-    for spec in specs:
-        log.info("emitting stage %d", spec.stage)
-        manifest["stages"][f"stage{spec.stage}"] = emit_stage(spec, corpora, mentions)
+    for stage, splits in plans.items():
+        log.info("emitting stage %d", stage)
+        out_dir = config.out_dir / f"stage{stage}"
+        manifest["stages"][f"stage{stage}"] = emit_stage(
+            stage, family.members, config.target, corpora, splits, out_dir, mentions=mentions
+        )
     write_lines(
         config.out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)]
     )

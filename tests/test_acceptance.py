@@ -157,20 +157,21 @@ def test_dataset_counts():
     for k in (2, 3, 11):
         for n in (1, 10, 1038):
             languages, view = make_view(k, n)
+            ids = list(view[languages[0]].lines)
             mentions = find_view_mentions(view, None)
             import tempfile
 
             with tempfile.TemporaryDirectory() as tmp:
                 complete_first = emit_complete(
-                    languages, view, Path(tmp) / "a", "train", mentions=mentions
+                    languages, view, ids, Path(tmp) / "a", "train", mentions=mentions
                 )["examples"]
-                emit_complete(languages, view, Path(tmp) / "b", "train", mentions=mentions)
+                emit_complete(languages, view, ids, Path(tmp) / "b", "train", mentions=mentions)
                 star_first = emit_star(
-                    languages[:-1], languages[-1], view, Path(tmp) / "c", "train",
+                    languages[:-1], languages[-1], view, ids, Path(tmp) / "c", "train",
                     mentions=mentions,
                 )["examples"]
                 emit_star(
-                    languages[:-1], languages[-1], view, Path(tmp) / "d", "train",
+                    languages[:-1], languages[-1], view, ids, Path(tmp) / "d", "train",
                     mentions=mentions,
                 )
                 identical = file_sha256(Path(tmp) / "a" / "train.src") == file_sha256(

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 import lowresmt.datagen
 from helpers import oracle_split_bytes
-from lowresmt.corpus import ParallelText, SplitSpec
+from lowresmt.corpus import ParallelText, SplitSpec, restrict
 from lowresmt.datagen import (
-    StageSpec,
     _render_lines,
     build_vocab,
     direction_tag,
@@ -38,6 +37,11 @@ def make_view(k, n, prefix="l"):
     return languages, view
 
 
+def ids_of(view):
+    """The line ids every text of a ``make_view`` view holds, in order."""
+    return list(next(iter(view.values())).lines)
+
+
 class TestDirectionTag:
     def test_render(self):
         assert direction_tag("ca", "ck") == "__opt_src_ca __opt_tgt_ck"
@@ -47,7 +51,7 @@ class TestEmitComplete:
     def test_count_formula(self, tmp_path):
         languages, view = make_view(3, 10)
         mentions = find_view_mentions(view, None)
-        entry = emit_complete(languages, view, tmp_path, "train", mentions=mentions)
+        entry = emit_complete(languages, view, ids_of(view), tmp_path, "train", mentions=mentions)
         assert entry["examples"] == 3 * 2 * 10
         assert len((tmp_path / "train.src").read_text().splitlines()) == 60
         assert len((tmp_path / "train.tgt").read_text().splitlines()) == 60
@@ -61,7 +65,8 @@ class TestEmitComplete:
 
     def test_two_languages_gives_both_directions(self, tmp_path):
         languages, view = make_view(2, 1)
-        emit_complete(languages, view, tmp_path, "train", mentions=find_view_mentions(view, None))
+        mentions = find_view_mentions(view, None)
+        emit_complete(languages, view, ids_of(view), tmp_path, "train", mentions=mentions)
         src = (tmp_path / "train.src").read_text().splitlines()
         assert src[0].startswith("__opt_src_l0 __opt_tgt_l1 ")
         assert src[1].startswith("__opt_src_l1 __opt_tgt_l0 ")
@@ -69,12 +74,15 @@ class TestEmitComplete:
     def test_stage_two_shape(self, tmp_path):
         languages, view = make_view(11, 3)
         mentions = find_view_mentions(view, None)
-        count = emit_complete(languages, view, tmp_path, "train", mentions=mentions)["examples"]
+        count = emit_complete(
+            languages, view, ids_of(view), tmp_path, "train", mentions=mentions
+        )["examples"]
         assert count == 11 * 10 * 3
 
     def test_every_source_line_carries_a_wellformed_tag(self, tmp_path):
         languages, view = make_view(3, 4)
-        emit_complete(languages, view, tmp_path, "train", mentions=find_view_mentions(view, None))
+        mentions = find_view_mentions(view, None)
+        emit_complete(languages, view, ids_of(view), tmp_path, "train", mentions=mentions)
         for row in (tmp_path / "train.src").read_text().splitlines():
             first, second, *_ = row.split(" ")
             assert first.startswith("__opt_src_")
@@ -85,8 +93,8 @@ class TestEmitComplete:
     def test_byte_identical_across_runs(self, tmp_path):
         languages, view = make_view(3, 25)
         mentions = find_view_mentions(view, None)
-        emit_complete(languages, view, tmp_path / "a", "train", mentions=mentions)
-        emit_complete(languages, view, tmp_path / "b", "train", mentions=mentions)
+        emit_complete(languages, view, ids_of(view), tmp_path / "a", "train", mentions=mentions)
+        emit_complete(languages, view, ids_of(view), tmp_path / "b", "train", mentions=mentions)
         for name in ("train.src", "train.tgt"):
             assert file_sha256(tmp_path / "a" / name) == file_sha256(tmp_path / "b" / name)
 
@@ -96,14 +104,16 @@ class TestEmitStar:
         languages, view = make_view(11, 1038)
         mentions = find_view_mentions(view, None)
         count = emit_star(
-            languages[:10], languages[10], view, tmp_path, "train", mentions=mentions
+            languages[:10], languages[10], view, ids_of(view), tmp_path, "train", mentions=mentions
         )["examples"]
         assert count == 10 * 1038
 
     def test_single_source_is_plain_tagged_bitext(self, tmp_path):
         languages, view = make_view(2, 3)
         mentions = find_view_mentions(view, None)
-        count = emit_star(["l0"], "l1", view, tmp_path, "train", mentions=mentions)["examples"]
+        count = emit_star(
+            ["l0"], "l1", view, ids_of(view), tmp_path, "train", mentions=mentions
+        )["examples"]
         assert count == 3
         src = (tmp_path / "train.src").read_text().splitlines()
         assert all(row.startswith("__opt_src_l0 __opt_tgt_l1 ") for row in src)
@@ -133,19 +143,24 @@ class TestSymmetrize:
         assert out["l1"].lines == view["l1"].lines
 
 
-def emit_either(configuration, languages, view, out_dir):
-    mentions = find_view_mentions(view, None)
+def emit_either(configuration, languages, texts, ids, out_dir):
+    mentions = find_view_mentions(texts, None)
     if configuration == "complete":
-        return emit_complete(languages, view, out_dir, "train", mentions=mentions)
-    return emit_star(languages[:-1], languages[-1], view, out_dir, "train", mentions=mentions)
+        return emit_complete(languages, texts, ids, out_dir, "train", mentions=mentions)
+    return emit_star(
+        languages[:-1], languages[-1], texts, ids, out_dir, "train", mentions=mentions
+    )
 
 
 @pytest.mark.parametrize("configuration", ["complete", "star"])
-def test_view_in_another_line_order_writes_the_first_language_order(tmp_path, configuration):
+def test_a_text_in_another_line_order_writes_the_planned_order(tmp_path, configuration):
     languages, view = make_view(3, 4)
-    emit_either(configuration, languages, view, tmp_path / "a")
-    reordered = ParallelText("l2", dict(reversed(view["l2"].lines.items())))
-    emit_either(configuration, languages, {**view, "l2": reordered}, tmp_path / "b")
+    ids = ids_of(view)
+    emit_either(configuration, languages, view, ids, tmp_path / "a")
+    reordered = {
+        lang: ParallelText(lang, dict(reversed(view[lang].lines.items()))) for lang in ("l0", "l2")
+    }
+    emit_either(configuration, languages, {**view, **reordered}, ids, tmp_path / "b")
     for name in ("train.src", "train.tgt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -190,19 +205,16 @@ class TestEmitStage:
         )
         return tuple(languages), corpora
 
-    def spec(self, stage, languages, corpora, tmp_path, ratios=(("train", 0.8), ("val", 0.2))):
-        return StageSpec(
-            stage=stage,
-            languages=languages,
-            low_resource="low",
-            splits=stage_splits(stage, languages, "low", corpora, SplitSpec(ratios)),
-            out_dir=tmp_path / f"stage{stage}",
-        )
+    def emit(self, stage, languages, corpora, tmp_path, mentions):
+        split = SplitSpec((("train", 0.8), ("val", 0.2)))
+        splits = stage_splits(stage, languages, "low", corpora, split)
+        out_dir = tmp_path / f"stage{stage}"
+        return emit_stage(stage, languages, "low", corpora, splits, out_dir, mentions=mentions)
 
     def test_stage1_complete_over_family_excludes_low(self, tmp_path):
         languages, corpora = self.corpora()
         mentions = find_view_mentions(corpora, None)
-        fragment = emit_stage(self.spec(1, languages, corpora, tmp_path), corpora, mentions)
+        fragment = self.emit(1, languages, corpora, tmp_path, mentions)
         assert fragment["configuration"] == "complete"
         assert fragment["languages"] == list(languages)
         assert fragment["splits"]["train"]["examples"] == 3 * 2 * 32
@@ -213,7 +225,7 @@ class TestEmitStage:
     def test_stage2_complete_includes_low_on_its_ids(self, tmp_path):
         languages, corpora = self.corpora()
         mentions = find_view_mentions(corpora, None)
-        fragment = emit_stage(self.spec(2, languages, corpora, tmp_path), corpora, mentions)
+        fragment = self.emit(2, languages, corpora, tmp_path, mentions)
         assert fragment["languages"] == [*languages, "low"]
         # 4 languages over the 20 low-resource lines
         assert fragment["splits"]["train"]["examples"] == 4 * 3 * 16
@@ -222,7 +234,7 @@ class TestEmitStage:
     def test_stage3_star_into_low(self, tmp_path):
         languages, corpora = self.corpora()
         mentions = find_view_mentions(corpora, None)
-        fragment = emit_stage(self.spec(3, languages, corpora, tmp_path), corpora, mentions)
+        fragment = self.emit(3, languages, corpora, tmp_path, mentions)
         assert fragment["configuration"] == "star"
         assert fragment["splits"]["train"]["examples"] == 3 * 16
         src = (tmp_path / "stage3" / "train.src").read_text().splitlines()
@@ -231,8 +243,8 @@ class TestEmitStage:
     def test_manifest_checksums_are_reproducible(self, tmp_path):
         languages, corpora = self.corpora()
         mentions = find_view_mentions(corpora, None)
-        first = emit_stage(self.spec(2, languages, corpora, tmp_path / "a"), corpora, mentions)
-        second = emit_stage(self.spec(2, languages, corpora, tmp_path / "b"), corpora, mentions)
+        first = self.emit(2, languages, corpora, tmp_path / "a", mentions)
+        second = self.emit(2, languages, corpora, tmp_path / "b", mentions)
         assert (
             first["splits"]["train"]["src_sha256"]
             == second["splits"]["train"]["src_sha256"]
@@ -254,14 +266,9 @@ class TestEmitStage:
             "f1": ParallelText("f1", {"a": ("spricht", "Zorblatu")}),
             "low": ParallelText("low", {"a": ("Zorblow", "talk")}),
         }
-        spec = StageSpec(
-            stage=2,
-            languages=languages,
-            low_resource="low",
-            splits=stage_splits(2, languages, "low", corpora, SplitSpec((("train", 1.0),))),
-            out_dir=tmp_path,
-        )
-        emit_stage(spec, corpora, find_view_mentions(corpora, table))
+        splits = stage_splits(2, languages, "low", corpora, SplitSpec((("train", 1.0),)))
+        mentions = find_view_mentions(corpora, table)
+        emit_stage(2, languages, "low", corpora, splits, tmp_path, mentions=mentions)
         src = (tmp_path / "train.src").read_text().splitlines()
         tgt = (tmp_path / "train.tgt").read_text().splitlines()
         assert src[0] == "__opt_src_f0 __opt_tgt_f1 __NE0 speaks"
@@ -277,12 +284,15 @@ def surface(entity: int, language: str) -> str:
 
 
 @st.composite
-def tagged_views(draw):
-    """2 to 4 languages over 1 to 5 shared lines, each line drawn per language.
+def tagged_texts(draw):
+    """2 to 4 languages sharing 1 to 5 lines, and a split's ids among those.
 
     Lines mix filler and entity surfaces freely, so a line may hold no
     mention, repeat an entity, order its entities unlike another
-    language's line, or mention entities the other sides lack.
+    language's line, or mention entities the other sides lack.  Each
+    text also holds up to two lines of its own and orders its ids its
+    own way; the split's ids are a drawn subset of the shared ids, in a
+    drawn order.
     """
     languages = [f"l{index}" for index in range(draw(st.integers(2, 4)))]
     n_entities = 4
@@ -291,24 +301,26 @@ def tagged_views(draw):
         for entity in range(n_entities)
     })
     item = st.one_of(st.sampled_from(FILLER), st.integers(0, n_entities - 1))
-    ids = [f"v{index}" for index in range(draw(st.integers(1, 5)))]
-    view = {}
+    shared = [f"v{index}" for index in range(draw(st.integers(1, 5)))]
+    texts = {}
     for lang in languages:
+        own = [f"x{lang}{index}" for index in range(draw(st.integers(0, 2)))]
         lines = {}
-        for lid in ids:
+        for lid in draw(st.permutations(shared + own)):
             items = draw(st.lists(item, min_size=1, max_size=6))
             text = " ".join(i if isinstance(i, str) else surface(i, lang) for i in items)
             lines[lid] = tuple(text.split())
-        view[lang] = ParallelText(lang, lines)
-    return languages, view, table
+        texts[lang] = ParallelText(lang, lines)
+    ids = draw(st.lists(st.sampled_from(shared), unique=True))
+    return languages, texts, table, ids
 
 
 @pytest.mark.parametrize("configuration", ["complete", "star"])
-@given(case=tagged_views(), tagged=st.booleans())
+@given(case=tagged_texts(), tagged=st.booleans())
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_block_writer_matches_the_per_example_oracle(configuration, case, tagged):
-    languages, view, table = case
-    mentions = find_view_mentions(view, table if tagged else None)
+    languages, texts, table, ids = case
+    mentions = find_view_mentions(texts, table if tagged else None)
     if configuration == "complete":
         pairs = [(a, b) for a in languages for b in languages if a != b]
     else:
@@ -316,12 +328,15 @@ def test_block_writer_matches_the_per_example_oracle(configuration, case, tagged
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         if configuration == "complete":
-            entry = emit_complete(languages, view, out, "train", mentions=mentions)
+            entry = emit_complete(languages, texts, ids, out, "train", mentions=mentions)
         else:
-            entry = emit_star(languages[:-1], languages[-1], view, out, "train", mentions=mentions)
+            entry = emit_star(
+                languages[:-1], languages[-1], texts, ids, out, "train", mentions=mentions
+            )
         written = ((out / "train.src").read_bytes(), (out / "train.tgt").read_bytes())
+    view = {lang: restrict(text, ids) for lang, text in texts.items()}
     assert written == oracle_split_bytes(pairs, view, mentions)
-    assert entry["examples"] == len(pairs) * len(view[languages[0]])
+    assert entry["examples"] == len(pairs) * len(ids)
 
 
 def test_each_language_line_is_bound_once_per_split(monkeypatch, tmp_path):
@@ -339,7 +354,8 @@ def test_each_language_line_is_bound_once_per_split(monkeypatch, tmp_path):
         lang: ParallelText(lang, {f"i{j}": (f"Zorb{lang}", f"w{j}") for j in range(4)})
         for lang in languages
     }
-    entry = emit_complete(languages, view, tmp_path, "train", mentions=find_view_mentions(view, table))
+    mentions = find_view_mentions(view, table)
+    entry = emit_complete(languages, view, ids_of(view), tmp_path, "train", mentions=mentions)
     assert entry["examples"] == 3 * 2 * 4
     assert len(calls) == 3 * 4
 
@@ -385,14 +401,17 @@ def test_a_split_renders_each_language_once(monkeypatch, tmp_path, configuration
 
     monkeypatch.setattr(lowresmt.datagen, "render_sources", counting)
     if configuration == "complete":
-        emit_complete(languages, view, tmp_path, "train", mentions=mentions)
+        emit_complete(languages, view, ids_of(view), tmp_path, "train", mentions=mentions)
     else:
-        emit_star(languages[:-1], languages[-1], view, tmp_path, "train", mentions=mentions)
+        emit_star(
+            languages[:-1], languages[-1], view, ids_of(view), tmp_path, "train", mentions=mentions
+        )
     assert calls == Counter(languages)
 
 
 def test_an_empty_split_writes_empty_files(tmp_path):
     view = {lang: ParallelText(lang, {}) for lang in ("l0", "l1")}
     mentions = find_view_mentions(view, None)
-    assert emit_complete(["l0", "l1"], view, tmp_path, "train", mentions=mentions)["examples"] == 0
+    entry = emit_complete(["l0", "l1"], view, [], tmp_path, "train", mentions=mentions)
+    assert entry["examples"] == 0
     assert (tmp_path / "train.src").read_bytes() == (tmp_path / "train.tgt").read_bytes() == b""

@@ -242,11 +242,14 @@ def run_cli(command, corpus_dir, out_dir, *flags):
 
 
 MALFORMED_CORPUS = "V001\tone line\nV001\tthe same id again\n"
+# the start of the warning a stage-1 plan logs when a member loses lines
+STAGE1_LOSS = "stage 1 keeps the"
 
 
-def test_a_run_removes_every_output_of_an_earlier_run(tmp_path):
+def test_a_run_removes_every_output_of_an_earlier_run(tmp_path, caplog):
     out_dir = tmp_path / "out"
     assert run_cli("pipeline", fixture_copy(tmp_path / "ranked"), out_dir) == 0
+    assert STAGE1_LOSS not in caplog.text
     assert (out_dir / "stage1").is_dir() and (out_dir / "ranking.tsv").is_file()
     corpus_dir = fixture_copy(tmp_path / "listed", family=["aaa", "bbb", "ccc"])
     assert run_cli("pipeline", corpus_dir, out_dir, "--stage", "2") == 0
@@ -266,10 +269,11 @@ def test_explicit_family_reads_no_unrelated_corpus(tmp_path):
     assert manifest == {**golden, "provenance": "FAMO+"}
 
 
-def test_a_run_without_a_lexicon_writes_the_golden_manifest(tmp_path):
+def test_a_run_without_a_lexicon_writes_the_golden_manifest(tmp_path, caplog):
     golden = json.loads(NO_LEXICON_GOLDEN.read_text(encoding="utf-8"))
     corpus_dir = fixture_copy(tmp_path, family=golden["family"], lexicon=None)
     assert run_cli("pipeline", corpus_dir, tmp_path / "out", "--stage", "all") == 0
+    assert STAGE1_LOSS not in caplog.text
     assert (tmp_path / "out" / "manifest.json").read_bytes() == NO_LEXICON_GOLDEN.read_bytes()
     assert main(["verify", str(tmp_path / "out")]) == 0
 
@@ -295,6 +299,21 @@ def test_spelling_variant_is_tagged_through_the_fuzzy_fallback(monkeypatch, tmp_
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest == {**golden, "provenance": "FAMO+"}
     assert 1 in distances
+
+
+def test_stage1_warns_of_the_lines_a_ragged_member_costs_the_family(tmp_path, caplog):
+    corpus_dir = fixture_copy(tmp_path, family=["aaa", "bbb", "ccc", "ddd"])
+    bbb = corpus_dir / "bbb.txt"
+    rows = bbb.read_text(encoding="utf-8").splitlines(keepends=True)
+    bbb.write_text("".join(row for row in rows if not row.startswith("V100\t")), encoding="utf-8")
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 0
+    assert [record.getMessage() for record in caplog.records if record.levelname == "WARNING"] == [
+        "stage 1 keeps the 299 line ids the family shares; lines lost: aaa 1, ccc 1, ddd 1"
+    ]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    splits = manifest["stages"]["stage1"]["splits"]
+    assert [splits[name]["lines"] for name in ("train", "val", "test")] == [239, 29, 31]
+    assert main(["verify", str(tmp_path / "out")]) == 0
 
 
 def test_stage2_names_a_family_member_lacking_a_target_line(tmp_path, caplog):

@@ -16,6 +16,10 @@ Tagging has one path, the pipeline's: ``find_view_mentions`` is the only
 caller of ``find_mentions``, and ``datagen``'s source and target
 rendering are the only callers of ``render_template``, so ``tag``
 writes exactly the templates the stage files hold.
+
+Emission copies no text: the writer reads each split's lines from the
+loaded texts by its planned ids, so ``restrict`` is called only where
+texts are loaded, intersected and split, and by ``symmetrize``.
 """
 import ast
 from pathlib import Path
@@ -130,6 +134,15 @@ def test_one_tagger_searches_and_renders():
     assert sorted(call_sites("render_template")) == [
         ("datagen.py", "pair_templates"),
         ("datagen.py", "render_sources"),
+    ]
+
+
+def test_emission_copies_no_text():
+    assert sorted(call_sites("restrict")) == [
+        ("corpus.py", "intersect"),
+        ("corpus.py", "load_candidates"),
+        ("corpus.py", "split"),
+        ("datagen.py", "symmetrize"),
     ]
 
 
