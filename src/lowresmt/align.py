@@ -59,17 +59,6 @@ class AlignmentModel:
 
 
 @dataclass(frozen=True)
-class SentenceAlignment:
-    """Hard alignment links as (source index, target index) pairs.
-
-    Each target token carries at most one link; targets decoded to null
-    are simply absent.  Links are ordered by target index.
-    """
-
-    links: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class WordStatistics:
     """Empirical rates for one source word type over its aligned occurrences."""
 
@@ -175,13 +164,16 @@ def train_alignment(
     )
 
 
-def viterbi_align(model: AlignmentModel, pair: tuple[Tokens, Tokens]) -> SentenceAlignment:
+def viterbi_align(
+    model: AlignmentModel, pair: tuple[Tokens, Tokens]
+) -> tuple[tuple[int, int], ...]:
     """Link each target token to its argmax source token, or to null.
 
-    Ties between real source tokens break toward the lowest index.  The
-    null option's translation probability is floored at epsilon, so a
-    target word the model has never seen falls to null rather than to an
-    arbitrary source token.
+    Returns (source index, target index) links ordered by target index; a
+    target decoded to null has none.  Ties between real source tokens
+    break toward the lowest index.  The null option's translation
+    probability is floored at epsilon, so a target word the model has
+    never seen falls to null rather than to an arbitrary source token.
     """
     src, tgt = pair
     prior_real = (1.0 - model.p_null) / len(src) if src else 0.0
@@ -197,7 +189,7 @@ def viterbi_align(model: AlignmentModel, pair: tuple[Tokens, Tokens]) -> Sentenc
                 best_i = i
         if best_i >= 0:
             links.append((best_i, j))
-    return SentenceAlignment(links=tuple(links))
+    return tuple(links)
 
 
 def collect_statistics(model: AlignmentModel, bitext: Bitext) -> AlignmentStatistics:
@@ -223,7 +215,7 @@ def collect_statistics(model: AlignmentModel, bitext: Bitext) -> AlignmentStatis
         # per linked source position: does each of its links continue monotonically?
         monotone: dict[int, list[bool]] = {}
         prev_i = -1
-        for i, _ in viterbi_align(model, (src, tgt)).links:
+        for i, _ in viterbi_align(model, (src, tgt)):
             monotone.setdefault(i, []).append(i == prev_i + 1)
             prev_i = i
         for i, steps in monotone.items():

@@ -17,7 +17,7 @@ from . import combine as combine_mod
 from .bleu import corpus_bleu
 from .corpus import bitext, load_candidates, load_text, read_rows, same_ids, save_text, write_lines
 from .datagen import find_view_mentions, render_sources
-from .lexicon import LexiconTable, build_target_dictionary, detag, load_lexicon
+from .lexicon import LexiconTable, absent_languages, build_target_dictionary, detag, load_lexicon
 from .pipeline import PipelineConfig, run_pipeline, verify_output
 from .rank import rank_languages, write_ranking, write_skips
 
@@ -69,8 +69,8 @@ def _cmd_rank(args) -> int:
 
 
 def _warn_if_absent(table: LexiconTable, language: str, consequence: str) -> None:
-    """One warning when the lexicon holds no form in ``language``: a scan, no index."""
-    if not any(language in by_language for by_language in table.entities.values()):
+    """One warning when the lexicon holds no form in ``language``."""
+    if absent_languages(table, [language]):
         log.warning("the lexicon holds no form in language %r; %s", language, consequence)
 
 

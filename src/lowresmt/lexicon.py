@@ -14,10 +14,11 @@ neighbourhoods alike, deleting positions in increasing order so that
 each set of positions is made once: at depth 2 a word of length L gives
 1 + L + L(L-1)/2 strings.  A query meets the index in one set
 intersection, then makes one check per hit, instead of one check per
-form of the language.  A table holds the index of one language (and
-threshold) at a time, so memory stays at one language's index however
-many languages are searched; a caller that alternates languages rebuilds
-the index each time it switches, so search one language after another.
+form of the language.  One pass builds a language's exact and delete
+indexes, and a table holds one (language, threshold)'s at a time, so
+memory stays at one language's however many are searched; a caller that
+alternates languages rebuilds them at each switch, so search one language
+after another.  Fuzzy matches stay memoized for every language searched.
 Decoding is deliberately forgiving because model output is untrusted:
 placeholders without a dictionary entry are dropped and counted rather
 than raised on.
@@ -73,55 +74,49 @@ def levenshtein(a: str, b: str, cap: int | None = None) -> int:
 class LexiconTable:
     """Entity id -> language -> surface forms, with cached match indexes.
 
-    Immutable after load by convention; the lazily built per-language
-    indexes only cache derived views of the same data.
+    Immutable after load by convention; the lazily built indexes only
+    cache derived views of the same data.
     """
 
     def __init__(self, entities: dict[str, dict[str, list[str]]]):
         self.entities = entities
-        self._exact: dict[str, dict[str, list[tuple[tuple[str, ...], str]]]] = {}
-        self._deletes_key: tuple[str, int] | None = None
-        self._deletes: dict[str, list[tuple[str, str, str]]] = {}
-        # (language, edit threshold) -> token -> fuzzy match, as find_mentions memoizes it
+        self._index_key: tuple[str, int] | None = None
+        self._index: tuple[dict, dict, dict] | None = None
+        # (language, edit threshold) -> token -> fuzzy match, kept for every key searched
         self._fuzzy_cache: dict[tuple[str, int], dict[str, str | None]] = {}
 
     def forms(self, entity_id: str, language: str) -> list[str]:
         return self.entities.get(entity_id, {}).get(language, [])
 
-    def exact(self, language: str) -> dict[str, list[tuple[tuple[str, ...], str]]]:
-        """First token -> (form tokens, entity id), longest form first, then by entity id."""
-        if language not in self._exact:
+    def index(self, language: str, edit_threshold: int) -> tuple[dict, dict, dict]:
+        """One language's exact index, delete index and fuzzy memo, built in one pass.
+
+        Exact: first token -> (form tokens, entity id), longest form first,
+        then by entity id.  Delete: each string reachable from a casefolded
+        single-token form by at most ``edit_threshold`` deletions -> the
+        (casefolded form, form, entity id) of the forms that reach it;
+        empty at threshold 0, which never queries it.  The table holds one
+        (language, threshold)'s indexes at a time, dropping the held ones
+        before it builds others; the memo of every key asked for is kept.
+        """
+        key = (language, edit_threshold)
+        if self._index_key != key:
+            self._index_key = self._index = None
             exact: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+            deletes: dict[str, list[tuple[str, str, str]]] = {}
             for entity_id, by_language in self.entities.items():
                 for form in by_language.get(language, []):
                     tokens = tuple(form.split())
                     exact.setdefault(tokens[0], []).append((tokens, entity_id))
-            for candidates in exact.values():
-                candidates.sort(key=lambda item: (-len(item[0]), item[1], item[0]))
-            self._exact[language] = exact
-        return self._exact[language]
-
-    def deletes(self, language: str, edit_threshold: int) -> dict[str, list[tuple[str, str, str]]]:
-        """The symmetric-delete index of one language's single-token forms.
-
-        Maps each string reachable from a casefolded form by at most
-        ``edit_threshold`` deletions to the ``(casefolded form, form,
-        entity id)`` entries of the forms that reach it.  The table holds
-        one index at a time: asking for another (language, threshold)
-        drops the held index before it builds the new one.
-        """
-        key = (language, edit_threshold)
-        if self._deletes_key != key:
-            self._deletes_key = None
-            self._deletes = index = {}
-            for entity_id, by_language in self.entities.items():
-                for form in by_language.get(language, []):
-                    if len(form.split()) == 1:
+                    if edit_threshold > 0 and len(tokens) == 1:
                         entry = (form.casefold(), form, entity_id)
                         for variant in _deletions(entry[0], edit_threshold):
-                            index.setdefault(variant, []).append(entry)
-            self._deletes_key = key
-        return self._deletes
+                            deletes.setdefault(variant, []).append(entry)
+            for candidates in exact.values():
+                candidates.sort(key=lambda item: (-len(item[0]), item[1], item[0]))
+            self._index = (exact, deletes, self._fuzzy_cache.setdefault(key, {}))
+            self._index_key = key
+        return self._index
 
 
 def _deletions(word: str, depth: int) -> set[str]:
@@ -166,6 +161,12 @@ def load_lexicon(path: str | Path) -> LexiconTable:
     return LexiconTable(entities)
 
 
+def absent_languages(table: LexiconTable, languages: Iterable[str]) -> list[str]:
+    """Those of ``languages``, in order, that the table holds no form in: a scan, no index."""
+    held = {language for by_language in table.entities.values() for language in by_language}
+    return [language for language in languages if language not in held]
+
+
 @dataclass(frozen=True)
 class Mention:
     """One entity occurrence: token span [start, end) and matched surface."""
@@ -193,17 +194,17 @@ def find_mentions(
     The fallback is exact but indexed: a form within distance d of the
     token shares with it a string reachable from both by at most d
     deletions, so only forms under one of the token's deletions in
-    ``LexiconTable.deletes`` are checked with ``levenshtein``.  A query of
-    length L makes 1 + L + L(L-1)/2 deletions at cap 2 (1 + L at cap 1),
-    meets the index's keys with one set intersection and checks each
-    form under the keys it shares.  The first fuzzy query of a language
-    builds that index (at most 1 + L + L(L-1)/2 keys per form of length
-    L at threshold 2) in place of the one the table held.  Results are
-    memoized in the table per (language, threshold), so each distinct
-    token is searched once however often it recurs.
+    ``LexiconTable.index``'s delete index are checked with ``levenshtein``.
+    A query of length L makes 1 + L + L(L-1)/2 deletions at cap 2 (1 + L
+    at cap 1), meets the index's keys with one set intersection and
+    checks each form under the keys it shares.  A language's first line
+    builds its exact and delete indexes (at most 1 + L + L(L-1)/2 keys
+    per form of length L at threshold 2) in place of the ones the table
+    held.  Fuzzy results are memoized per (language, threshold), across
+    switches of language, so each distinct token is searched once
+    however often it recurs.
     """
-    exact = table.exact(language)
-    fuzzy = table._fuzzy_cache.setdefault((language, edit_threshold), {})
+    exact, _, fuzzy = table.index(language, edit_threshold)
     mentions: list[Mention] = []
     pos = 0
     n = len(tokens)
@@ -235,7 +236,7 @@ def _fuzzy_entity(
 ) -> str | None:
     cap = min(edit_threshold, math.ceil(len(token) / 3))
     token_cf = token.casefold()
-    deletes = table.deletes(language, edit_threshold)
+    _, deletes, _ = table.index(language, edit_threshold)
     hits = {hit for key in deletes.keys() & _deletions(token_cf, cap) for hit in deletes[key]}
     # (distance, entity id, form) is a total key, so the order of the checks is moot
     keys = (

@@ -27,7 +27,7 @@ from .datagen import (
     unbound_surfaces,
     write_vocab,
 )
-from .lexicon import load_lexicon, placeholder
+from .lexicon import absent_languages, load_lexicon, placeholder
 from .rank import (
     FAMO_PLUS,
     METRICS,
@@ -264,14 +264,15 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     target (no stage trains on one) and a malformed lexicon.  Before
     any EM step, for a metric family: fewer than ``k`` usable candidates
     (see ``resolve_family``).  As each member loads: an empty line in
-    it.  Then every requested stage is planned (``stage_splits``), so no
-    shared id, a member lacking a target id and an empty split fail
-    before mention search, ``vocab.txt`` or any stage file.  Stage 1
-    keeps the ids the whole family shares and logs one warning naming
-    each member that loses lines, and how many.  Each stage is written
-    from the loaded corpora by its planned ids, which the writer trusts.
-    Only the target's, the candidates' and the family's corpora are
-    loaded.
+    it.  Once the family loads, one warning names each language of the
+    family and the target that the lexicon holds no form in.  Then every
+    requested stage is planned (``stage_splits``), so no shared id, a
+    member lacking a target id and an empty split fail before mention
+    search, ``vocab.txt`` or any stage file.  Stage 1 keeps the ids the
+    whole family shares and logs one warning naming each member that
+    loses lines, and how many.  Each stage is written from the loaded
+    corpora by its planned ids, which the writer trusts.  Only the
+    target's, the candidates' and the family's corpora are loaded.
 
     Returns the manifest written to out_dir/manifest.json.  The manifest
     carries no timestamps or absolute paths, so reruns are comparable
@@ -306,6 +307,10 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         corpora[lang] = load_text(config.corpus_dir / f"{lang}.txt", lang)
         check_no_empty_line(corpora[lang])
     corpora[config.target] = target_text
+    absent = absent_languages(table, corpora) if table is not None else []
+    if absent:
+        log.warning("the lexicon holds no form in language(s) %s; their lines are written"
+                    " untagged", ", ".join(absent))
     # plan every stage before mention search, vocab.txt or any stage file
     plans = {}
     for stage in stages:

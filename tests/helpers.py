@@ -162,7 +162,7 @@ def oracle_statistics(model, bitext) -> AlignmentStatistics:
         distortion: dict[int, int] = {}
         by_source: dict[int, list[int]] = {}
         prev_i = -1
-        for i, j in viterbi_align(model, (src, tgt)).links:
+        for i, j in viterbi_align(model, (src, tgt)):
             distortion[j] = (i - prev_i) - 1
             prev_i = i
             by_source.setdefault(i, []).append(j)

@@ -17,6 +17,7 @@ from lowresmt.lexicon import (
     LexiconTable,
     Mention,
     _deletions,
+    absent_languages,
     build_target_dictionary,
     detag,
     find_mentions,
@@ -153,6 +154,10 @@ class TestLoadLexicon:
         path.write_text("e1\ten\tYi\nbad row\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2"):
             load_lexicon(path)
+
+    def test_absent_languages_names_each_language_without_a_form_in_order(self):
+        table = LexiconTable({"e1": {"en": ["Andika"]}, "e2": {"de": ["Andiko"], "fr": ["Andiq"]}})
+        assert absent_languages(table, ["xx", "fr", "en", "yy", "de"]) == ["xx", "yy"]
 
 
 class TestTagSentence:
@@ -532,6 +537,26 @@ class TestFuzzyIndex:
             tracemalloc.reset_peak()
             for language in languages[1:]:
                 find_mentions(["Qzqzqzq"], language, table, 2)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * one_index, (held, one_index)
+        assert peak < 1.5 * one_index, (peak, one_index)
+
+    def test_table_holds_one_exact_index_at_a_time(self):
+        # one exact query per language, languages one after another, at
+        # threshold 0 so no fuzzy search runs: memory stays at one index
+        languages = [f"l{index}" for index in range(6)]
+        table = make_entity_table(300, languages, random.Random(8))
+        queries = {language: [table.forms("e000", language)[0]] for language in languages}
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert find_mentions(queries[languages[0]], languages[0], table, 0)
+            one_index = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for language in languages[1:]:
+                assert find_mentions(queries[language], language, table, 0)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

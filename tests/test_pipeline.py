@@ -244,12 +244,15 @@ def run_cli(command, corpus_dir, out_dir, *flags):
 MALFORMED_CORPUS = "V001\tone line\nV001\tthe same id again\n"
 # the start of the warning a stage-1 plan logs when a member loses lines
 STAGE1_LOSS = "stage 1 keeps the"
+# the start of the warning a run logs for languages the lexicon holds no form in
+NO_FORMS = "the lexicon holds no form in"
 
 
 def test_a_run_removes_every_output_of_an_earlier_run(tmp_path, caplog):
     out_dir = tmp_path / "out"
     assert run_cli("pipeline", fixture_copy(tmp_path / "ranked"), out_dir) == 0
     assert STAGE1_LOSS not in caplog.text
+    assert NO_FORMS not in caplog.text
     assert (out_dir / "stage1").is_dir() and (out_dir / "ranking.tsv").is_file()
     corpus_dir = fixture_copy(tmp_path / "listed", family=["aaa", "bbb", "ccc"])
     assert run_cli("pipeline", corpus_dir, out_dir, "--stage", "2") == 0
@@ -313,6 +316,19 @@ def test_stage1_warns_of_the_lines_a_ragged_member_costs_the_family(tmp_path, ca
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
     splits = manifest["stages"]["stage1"]["splits"]
     assert [splits[name]["lines"] for name in ("train", "val", "test")] == [239, 29, 31]
+    assert main(["verify", str(tmp_path / "out")]) == 0
+
+
+def test_a_run_warns_of_a_member_the_lexicon_holds_no_form_in(tmp_path, caplog):
+    corpus_dir = fixture_copy(tmp_path, family=["aaa", "bbb", "ccc", "ddd"])
+    lexicon = corpus_dir / "lexicon.tsv"
+    rows = lexicon.read_text(encoding="utf-8").splitlines(keepends=True)
+    lexicon.write_text("".join(row for row in rows if row.split("\t")[1] != "bbb"),
+                       encoding="utf-8")
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out") == 0
+    assert [record.getMessage() for record in caplog.records if record.levelname == "WARNING"] == [
+        "the lexicon holds no form in language(s) bbb; their lines are written untagged"
+    ]
     assert main(["verify", str(tmp_path / "out")]) == 0
 
 
