@@ -12,6 +12,8 @@ from lowresmt.corpus import load_text
 from lowresmt.datagen import file_sha256
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# sha256 of `lowresmt align --source e2e/aaa.txt --target e2e/lrx.txt` with default flags
+E2E_ALIGN_MODEL_SHA256 = "07560cd4e437471399bce29f23f4f800f913124dec73bba37ffc798509862132"
 
 
 def write(path, content):
@@ -97,6 +99,23 @@ class TestAlign:
         stats = collect_statistics(model, bitext)
         assert read_statistics_rows(stats_path) == (stats.source_lengths, stats.words)
         assert stats.words
+
+    def test_fixture_alignment_is_byte_identical_to_the_golden_copy(self, tmp_path):
+        # probabilities and rates are written with repr, so any drift in the EM
+        # floats or in a Viterbi tie shows here; the 3,113-row model is pinned by digest
+        model_path = tmp_path / "model.tsv"
+        stats_path = tmp_path / "stats.tsv"
+        assert main(
+            [
+                "align",
+                "--source", str(FIXTURES / "e2e" / "aaa.txt"),
+                "--target", str(FIXTURES / "e2e" / "lrx.txt"),
+                "--output", str(model_path),
+                "--stats-output", str(stats_path),
+            ]
+        ) == 0
+        assert stats_path.read_bytes() == (FIXTURES / "e2e_align_stats.tsv").read_bytes()
+        assert file_sha256(model_path) == E2E_ALIGN_MODEL_SHA256
 
 
 class TestRank:
