@@ -13,10 +13,16 @@ word it co-occurs with -> an index, in first co-occurrence order.  The
 word's probabilities, and each iteration's expected counts, are
 ``array("d")`` rows over those slots, 8 bytes an entry where a dict
 entry plus a float object took several times that; only the returned
-table is a dict of dicts.  On 1,000 lines of 15-30 tokens over 2,000
-types against a 10%-noised copy (485k table entries, 10 iterations),
-training peaks at 24.6 MiB traced for a 24.1 MiB returned model, where
-dict-of-dicts tables peaked at 61.4 MiB (2 CPUs, Python 3.11).
+table is a dict of dicts.  Right after the slot maps, training builds a
+slot grid: for every pair, each target token's null slot and its slot
+in each source word's row, as integer arrays.  Every expectation pass
+walks the grid, so no pass looks a slot up by word, and each slot map
+shrinks to a tuple of its words.  On 1,000 lines of 15-30 tokens over
+2,000 types against a 10%-noised copy (485k table entries, 10
+iterations), training takes 2.4-2.7 s against 3.8-4.1 s when each pass
+looked up every (source, target) cell's slot, and peaks at 24.5 MiB
+traced for a 23.9 MiB returned model, where dict-of-dicts tables peaked
+at 61.4 MiB (2 CPUs, Python 3.11).
 
 Hard (Viterbi) alignments from the trained table drive the per-word
 fertility and distortion statistics that the ranking metrics consume.
@@ -86,6 +92,41 @@ def _usable_pairs(bitext: Bitext) -> list[tuple[Tokens, Tokens]]:
     return pairs
 
 
+def _slot_grid(
+    pairs: list[tuple[Tokens, Tokens]],
+) -> tuple[dict[str, tuple[str, ...]], list[tuple[Tokens, array, array]]]:
+    """Each word's co-occurring target words in slot order, and every pair's slot grid.
+
+    A word's slots index its probability and count rows: one per target
+    word it co-occurs with, in first co-occurrence order; the null row
+    co-occurs with everything.  A pair's grid entry is (source tokens,
+    null cells, cells): each target token's null slot, then, target
+    major, that token's slot in each source word's row, stored in the
+    narrowest array typecode that holds the widest row's last slot.
+    """
+    slots: dict[str, dict[str, int]] = {NULL_TOKEN: {}}
+    null_slots = slots[NULL_TOKEN]
+    for src, tgt in pairs:
+        for t in tgt:
+            null_slots.setdefault(t, len(null_slots))
+        for s in src:
+            row = slots.setdefault(s, {})
+            for t in tgt:
+                row.setdefault(t, len(row))
+    widest = max(map(len, slots.values()))
+    code = next(c for c in "BHI" if widest <= 1 << 8 * array(c).itemsize)
+    grid = []
+    for src, tgt in pairs:
+        slot_maps = [slots[s] for s in src]
+        null_cells = array(code, [null_slots[t] for t in tgt])
+        cells = array(code, [slot_map[t] for t in tgt for slot_map in slot_maps])
+        grid.append((src, null_cells, cells))
+    # a dict costs about 5x a tuple per slot, and the table build needs only the words
+    for s in slots:
+        slots[s] = tuple(slots[s])
+    return slots, grid
+
+
 def train_alignment(
     bitext: Bitext, iterations: int = 10, *, p_null: float = 0.08
 ) -> AlignmentModel:
@@ -100,6 +141,12 @@ def train_alignment(
     pass scores the last table, so ``log_likelihoods`` holds
     ``iterations + 1`` values (entry i is the table after i M-steps)
     and is non-decreasing.
+
+    Slots are fixed once the slot maps exist, so every pass walks the
+    slot grid built with them; the grid holds one 1-, 2- or 4-byte cell
+    per (source, target) token pair plus one per target token, about
+    1.2 MiB at 1,000 lines of 15-30 tokens, and is freed before the table
+    is built.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -107,17 +154,7 @@ def train_alignment(
         raise ValueError("p_null must lie strictly between 0 and 1")
     pairs = _usable_pairs(bitext)
 
-    # slots[s]: each target word co-occurring with s -> its index in s's
-    # rows, in first co-occurrence order; the null row co-occurs with everything
-    slots: dict[str, dict[str, int]] = {NULL_TOKEN: {}}
-    null_slots = slots[NULL_TOKEN]
-    for src, tgt in pairs:
-        for t in tgt:
-            null_slots.setdefault(t, len(null_slots))
-        for s in src:
-            row = slots.setdefault(s, {})
-            for t in tgt:
-                row.setdefault(t, len(row))
+    slots, grid = _slot_grid(pairs)
     probs = {s: array("d", [1.0 / len(row)]) * len(row) for s, row in slots.items()}
 
     log_likelihoods: list[float] = []
@@ -127,24 +164,21 @@ def train_alignment(
         # the final pass only scores the last table, so it gathers no counts
         counts = {} if final else {s: array("d", bytes(8 * len(row))) for s, row in slots.items()}
         null_row, null_counts = probs[NULL_TOKEN], counts.get(NULL_TOKEN)
-        for src, tgt in pairs:
+        for src, null_cells, cells in grid:
             prior_real = (1.0 - p_null) / len(src)
-            slot_maps = [slots[s] for s in src]
             rows = [probs[s] for s in src]
             count_rows = [counts.get(s) for s in src]
-            for t in tgt:
-                null_slot = null_slots[t]
+            for null_slot, indices in zip(null_cells, zip(*[iter(cells)] * len(src))):
                 null_score = p_null * null_row[null_slot]
-                indices = [slot_map[t] for slot_map in slot_maps]
                 scores = [prior_real * row[i] for row, i in zip(rows, indices)]
                 denom = null_score + sum(scores)
                 likelihood += math.log(max(denom, 1e-300))
                 if final or denom <= 0.0:
                     continue
                 null_counts[null_slot] += null_score / denom
+                # a zero score adds +0.0 to a non-negative count, which changes no bit
                 for count_row, i, score in zip(count_rows, indices, scores):
-                    if score > 0.0:
-                        count_row[i] += score / denom
+                    count_row[i] += score / denom
         log_likelihoods.append(likelihood)
         # M-step: each count row, normalised in place, becomes its word's probabilities
         for s, count_row in counts.items():
@@ -154,8 +188,9 @@ def train_alignment(
                     count_row[i] = c / total
                 probs[s] = count_row
 
+    del grid
     # a slot at 0.0 drew no expected count, so the table gets no entry for it;
-    # each word's rows are freed as its table row is built
+    # each word's slots and probabilities are freed as its table row is built
     ttable = {}
     for s in list(slots):
         ttable[s] = {t: p for t, p in zip(slots.pop(s), probs.pop(s)) if p != 0.0}
@@ -177,18 +212,17 @@ def viterbi_align(
     """
     src, tgt = pair
     prior_real = (1.0 - model.p_null) / len(src) if src else 0.0
-    null_row = model.ttable.get(NULL_TOKEN, {})
+    empty: dict[str, float] = {}
+    null_row = model.ttable.get(NULL_TOKEN, empty)
+    rows = [model.ttable.get(s, empty) for s in src]
     links: list[tuple[int, int]] = []
     for j, t in enumerate(tgt):
-        best_score = model.p_null * max(null_row.get(t, 0.0), model.epsilon)
-        best_i = -1
-        for i, s in enumerate(src):
-            score = prior_real * model.ttable.get(s, {}).get(t, 0.0)
-            if score > best_score:
-                best_score = score
-                best_i = i
-        if best_i >= 0:
-            links.append((best_i, j))
+        null_score = model.p_null * max(null_row.get(t, 0.0), model.epsilon)
+        scores = [prior_real * row.get(t, 0.0) for row in rows]
+        best = max(scores, default=0.0)
+        # index() finds the first of equal scores: ties go to the lowest source index
+        if best > null_score:
+            links.append((scores.index(best), j))
     return tuple(links)
 
 

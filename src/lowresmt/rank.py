@@ -10,11 +10,13 @@ than the caller's minimum, or than its metric needs (1 for famd, which
 trains on them; 2 for famp, which also holds one out), is skipped with
 its shared-line count rather than scored.
 
-EM training dominates: either metric takes about 3.8 s per candidate
-on 1,000 target lines of 15-30 tokens over 2,000 word types with 10 EM
-iterations (2 CPUs, Python 3.11), so ~100 candidates take about 6-7
-minutes serially; candidates score independently and may be fanned out
-over a worker pool.
+EM training dominates: with ``lowresmt rank --workers 1`` on 1,000
+target lines of 15-30 tokens over 2,000 word types and 10 EM iterations
+(2 CPUs, Python 3.11), a full-size candidate takes 2.0-4.0 s, median
+2.8 s for famp and 2.7 s for famd, against 2.9-4.8 s (medians 3.2 and
+3.6 s) when each EM pass looked up every cell's slot; so ~100
+candidates take about 4-5 minutes serially.  Candidates score
+independently and may be fanned out over a worker pool.
 
 Memory: the ``rank`` command and the pipeline pass candidates cut to
 the lines they share with the target (``corpus.load_candidates``), with

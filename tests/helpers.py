@@ -149,6 +149,25 @@ def oracle_train_alignment(bitext, iterations=10, *, p_null=0.08) -> AlignmentMo
     return model
 
 
+def oracle_viterbi_align(model, pair) -> tuple[tuple[int, int], ...]:
+    """``viterbi_align`` as a loop over (source, target) cells, each looking up its row."""
+    src, tgt = pair
+    prior_real = (1.0 - model.p_null) / len(src) if src else 0.0
+    null_row = model.ttable.get(NULL_TOKEN, {})
+    links: list[tuple[int, int]] = []
+    for j, t in enumerate(tgt):
+        best_score = model.p_null * max(null_row.get(t, 0.0), model.epsilon)
+        best_i = -1
+        for i, s in enumerate(src):
+            score = prior_real * model.ttable.get(s, {}).get(t, 0.0)
+            if score > best_score:
+                best_score = score
+                best_i = i
+        if best_i >= 0:
+            links.append((best_i, j))
+    return tuple(links)
+
+
 def oracle_statistics(model, bitext) -> AlignmentStatistics:
     """``collect_statistics`` recounted from a distortion value per target link."""
     tallies: dict[str, list[int]] = {}

@@ -5,12 +5,13 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     oracle_statistics,
     oracle_train_alignment,
+    oracle_viterbi_align,
     read_model_rows,
     read_statistics_rows,
 )
@@ -86,7 +87,7 @@ class TestTrainAlignment:
                 direct += math.log(p)
         assert full.log_likelihoods[-1] == pytest.approx(direct, rel=1e-12, abs=0.0)
 
-    def test_one_pass_over_the_pairs_per_e_step(self):
+    def test_no_e_step_reads_a_target_side(self):
         class CountingTokens(tuple):
             reads = 0
 
@@ -95,12 +96,13 @@ class TestTrainAlignment:
                 return super().__iter__()
 
         bitext = [(("a",), CountingTokens(("x", "y"))), (("a", "b"), CountingTokens(("y",)))]
-        # building the co-occurrence rows reads each target side 1 + len(source) times
-        setup_reads = (1 + 1) + (1 + 2)
+        # building the slot maps reads each target side 1 + len(source) times and
+        # the slot grid twice; every pass after that walks the grid alone
+        setup_reads = (1 + 1 + 2) + (1 + 2 + 2)
         for iterations in (1, 4):
             CountingTokens.reads = 0
             train_alignment(bitext, iterations)
-            assert CountingTokens.reads == setup_reads + 2 * (iterations + 1)
+            assert CountingTokens.reads == setup_reads
 
     def test_empty_pairs_skipped_with_warning(self, caplog):
         bitext = [(("a",), ("b",)), ((), ("b",)), (("a",), ())]
@@ -167,6 +169,19 @@ class TestTrainAlignment:
         for word, row in model.ttable.items():
             assert list(row) == list(oracle.ttable[word]), word
 
+    @pytest.mark.parametrize("n_types", [256, 257, 65_537])
+    def test_equals_the_oracle_on_each_side_of_a_slot_typecode_boundary(self, n_types):
+        # one source word and n_types target types: the widest row's last slot is
+        # n_types - 1, so 257 and 65,537 types need a wider cell than 256 and 65,536 do;
+        # every seventh type repeats so the rows are not uniform
+        words = [f"t{i}" for i in range(n_types)]
+        bitext = [(("a",), tuple(words + words[::7]))]
+        model = train_alignment(bitext, 2)
+        oracle = oracle_train_alignment(bitext, 2)
+        assert model == oracle
+        for word, row in model.ttable.items():
+            assert list(row) == list(oracle.ttable[word]), word
+
     def test_peak_memory_stays_near_the_returned_table(self):
         # measured: 1.06-1.08x at seeds 1, 5 and 31, against 2.58-2.61x for
         # dict-of-dicts tables
@@ -221,6 +236,33 @@ class TestViterbi:
             targets = [j for _, j in alignment]
             assert len(targets) == len(set(targets))
             assert all(0 <= i < len(source) and 0 <= j < len(target) for i, j in alignment)
+
+    @given(
+        ttable=st.dictionaries(
+            st.sampled_from([NULL_TOKEN, "a", "b", "c"]),
+            st.dictionaries(
+                st.sampled_from(["x", "y", "z"]),
+                # exact ties across rows, and null probabilities under the epsilon floor
+                st.one_of(st.sampled_from([0.0, 1e-12, 1e-9, 0.25, 0.5]), st.floats(0.0, 1.0)),
+            ),
+        ),
+        # "d" and "w" are words the model has never seen
+        src=st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6),
+        tgt=st.lists(st.sampled_from(["x", "y", "z", "w"]), max_size=6),
+        p_null=st.one_of(st.sampled_from([0.08, 0.5]), st.floats(0.001, 0.999)),
+        epsilon=st.sampled_from([1e-9, 0.1]),
+    )
+    # a source score equal to the null score leaves the target on null
+    @example(
+        ttable={NULL_TOKEN: {"x": 0.5}, "a": {"x": 0.5}}, src=["a"], tgt=["x"], p_null=0.5,
+        epsilon=1e-9,
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_equals_the_per_cell_oracle(self, ttable, src, tgt, p_null, epsilon):
+        # repeated source tokens tie exactly, and ties go to the lowest index
+        model = AlignmentModel(ttable=ttable, p_null=p_null, epsilon=epsilon)
+        pair = (tuple(src), tuple(tgt))
+        assert viterbi_align(model, pair) == oracle_viterbi_align(model, pair)
 
 
 class TestCollectStatistics:
