@@ -420,6 +420,25 @@ class TestCombine:
         assert "'bb' is missing line id '1'" in caplog.text
         assert not out.exists()
 
+    def test_fixture_combine_and_score_are_byte_identical_to_the_golden_copies(self, tmp_path):
+        # centralities are written with repr; the fixture's members share no token,
+        # so this pins the tie-break and both file formats, and combine_golden.tsv
+        # pins non-zero centralities
+        out = tmp_path / "combined.txt"
+        report = tmp_path / "choices.tsv"
+        score = tmp_path / "score.tsv"
+        inputs = [str(FIXTURES / "e2e" / f"{lang}.txt") for lang in ("aaa", "bbb", "ccc")]
+        assert main(
+            ["combine", "--inputs", *inputs, "--output", str(out), "--report", str(report)]
+        ) == 0
+        reference = str(FIXTURES / "e2e" / "aaa.txt")
+        assert main(
+            ["score", "--hypotheses", str(out), "--references", reference, "--output", str(score)]
+        ) == 0
+        assert out.read_bytes() == (FIXTURES / "e2e_combined.txt").read_bytes()
+        assert report.read_bytes() == (FIXTURES / "e2e_combine_report.tsv").read_bytes()
+        assert score.read_bytes() == (FIXTURES / "e2e_combined_score.tsv").read_bytes()
+
 
 def pipeline_config(corpus_dir, out_dir, family):
     return {
