@@ -14,15 +14,22 @@ gram of strings.  A gram seen a times on one side and b on the other
 then has min(a, b) occurrences in both sets, its clipped count, so an
 order's clipped matches are the size of the two sets' intersection and
 ``_shared_matches`` runs no Python code per gram.  One intersection per
-order serves both directions of a pair.  ``sentence_bleu`` and
-``corpus_bleu`` build both sides' sets for each pair they are given;
-the combiner builds each candidate's once and scores every pair from
-them through the same two helpers, ``_shared_matches`` (clipping) and
-``_smoothed_bleu`` (smoothing and brevity penalty).  The shifts are
-list slices on purpose: CPython keeps up to 2,000 freed tuples of each
-length below 20, so tuple shifts of 15-30-token lines leave free lists
-of long tuples behind (about 170 KiB of traced heap after 2,000 calls,
-against about 20 KiB with list slices).
+order serves both directions of a pair.  The shifts are list slices on
+purpose: CPython keeps up to 2,000 freed tuples of each length below
+20, so tuple shifts of 15-30-token lines leave free lists of long tuples
+behind (about 170 KiB of traced heap after 2,000 calls, against about
+20 KiB with list slices).
+
+Every smoothed precision is a ratio j / d of small integers, so a
+sentence score takes its four log precisions from ``LogRows``, which
+computes each row of ``log(j / d)`` once, and sums them in one
+expression: ``_smoothed_from_rows`` is the one place that writes the
+smoothing.  ``sentence_bleu`` builds both sides' sets and fresh rows per
+call; the combiner builds each candidate's sets once per cluster and one
+``LogRows`` per corpus, and scores every pair through
+``_shared_matches`` and ``_smoothed_from_rows``.  Float sums are
+explicit left folds, never the builtin ``sum``, which Python 3.12 made
+compensated, so no score depends on which ``sum`` the interpreter has.
 """
 from __future__ import annotations
 
@@ -117,7 +124,12 @@ def corpus_bleu(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> B
     if not usable or any(m == 0 for m, _ in usable):
         value = 0.0
     else:
-        value = bp * math.exp(sum(math.log(m / t) for m, t in usable) / len(usable))
+        # an explicit left fold from 0.0: the builtin sum of floats is compensated
+        # from Python 3.12 on, which would change the score's last digits
+        log_sum = 0.0
+        for m, t in usable:
+            log_sum += math.log(m / t)
+        value = bp * math.exp(log_sum / len(usable))
     return BleuScore(value=value, precisions=precisions, brevity_penalty=bp)
 
 
@@ -131,21 +143,40 @@ def sentence_bleu(hypothesis: Tokens, reference: Tokens) -> float:
         return 1.0
     if not hypothesis or not reference:
         return 0.0
-    return _smoothed_bleu(
-        _clipped_matches(hypothesis, reference), len(hypothesis), len(reference)
-    )
+    matches = _clipped_matches(hypothesis, reference)
+    if not matches[0]:
+        return 0.0
+    return _smoothed_from_rows(LogRows(), matches, len(hypothesis), len(reference))
 
 
-def _smoothed_bleu(matches: Sequence[int], hyp_len: int, ref_len: int) -> float:
-    """Sentence BLEU of a non-empty hypothesis and reference from their matches."""
-    log_sum = 0.0
-    for order, match in enumerate(matches, start=1):
-        total = max(hyp_len - order + 1, 0)
-        if order == 1:
-            precision = match / total
+class LogRows(dict):
+    """``log(j / d)`` for j = 1 to d at index j - 1, one row per d, built on first use.
+
+    Every smoothed precision is such a ratio.  A hypothesis of h tokens
+    has unigram precision m / h, and at order n >= 2, with T = max(h - n
+    + 1, 0) grams, precision (m + 1) / (T + 1).  So orders 1 and 2 read
+    row h, and orders 3 and 4 rows h - 1 and h - 2, where rows 0 and -1
+    are row 1: an order with no gram has precision (0 + 1) / (0 + 1).
+    Each row serves every length and order with its denominator.  A
+    caller keeps one instance while it scores and then drops it.
+    """
+
+    def __missing__(self, denominator: int) -> list[float]:
+        if denominator < 1:
+            row = self[denominator] = self[1]
         else:
-            precision = (match + 1) / (total + 1)
-        if precision == 0.0:
-            return 0.0
-        log_sum += math.log(precision)
+            row = self[denominator] = [math.log(j / denominator) for j in range(1, denominator + 1)]
+        return row
+
+
+def _smoothed_from_rows(rows: LogRows, matches: Sequence[int], hyp_len: int, ref_len: int) -> float:
+    """Sentence BLEU of a non-empty hypothesis sharing a unigram with its reference.
+
+    ``matches`` are the clipped matches of orders 1 to 4.  Their log
+    precisions are added left to right, order 1 first, the association
+    that every pinned score was written with.
+    """
+    m1, m2, m3, m4 = matches
+    row = rows[hyp_len]
+    log_sum = ((row[m1 - 1] + row[m2]) + rows[hyp_len - 1][m3]) + rows[hyp_len - 2][m4]
     return brevity_penalty(hyp_len, ref_len) * math.exp(log_sum / MAX_ORDER)

@@ -4,12 +4,26 @@ Each line's candidates form a cluster; the kept translation is the one
 maximizing the sum of similarities to all other candidates, i.e. the
 cluster center.  Similarity is smoothed sentence BLEU averaged over both
 directions, which is symmetric and reference-free within the cluster.
+
 Each candidate's n-gram occurrence sets are built once per cluster.
 Clipped matches are symmetric, so each unordered pair's are taken once,
-as four set intersections in C (one per order), and smoothed once per
-direction, since the hypothesis length differs; the pair's similarity is
-added to both candidates' sums.  A cluster of k therefore costs k set
-builds and k(k-1)/2 pairs of four intersections.
+as four set intersections in C (one per order).  A pair sharing no
+token scores 0.0 right there.  Otherwise a direction is smoothed from
+``bleu.LogRows``: four row lookups, one sum and one ``exp``, with rows
+that ``combine_corpus`` builds once per denominator and drops when it
+returns.  A pair of equal lengths scores the same both ways and is
+smoothed once; the pair's similarity is added to both candidates' sums.
+A cluster of k therefore costs k set builds, k(k-1)/2 pairs of four
+intersections, and at most two row lookups of four terms per pair.
+
+Measured on 2 CPUs with Python 3.11.7, against smoothing both directions
+of every pair with four ``math.log`` calls each (identical reports):
+``combine_corpus`` took 96 against 133 ms (median of 9) on the
+benchmark's postprocess inputs, 250 lines x 10 members, where every pair
+has equal lengths; 11.5 against 15.6 s on 31,000 lines x 10 members from
+``perfbench.inputs.postprocess``; and 395 against 515 ms (median of 5)
+on 1,000 lines x 10 members of 15-30 tokens, where 31% of pairs have
+equal lengths.
 """
 from __future__ import annotations
 
@@ -17,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .bleu import Grams, Tokens, _ngram_counts, _shared_matches, _smoothed_bleu
+from .bleu import Grams, LogRows, Tokens, _ngram_counts, _shared_matches, _smoothed_from_rows
 # not called here; perfbench/tracing.py still probes it under this module's
 # name, until the benchmark's probes move
 from .bleu import sentence_bleu  # noqa: F401
@@ -48,36 +62,48 @@ class CombineReport:
 
 def similarity(a: Tokens, b: Tokens) -> float:
     """Symmetric similarity in [0, 1]: sentence BLEU averaged both ways."""
-    return _pair_similarity(_ngram_counts(a), len(a), _ngram_counts(b), len(b))
+    return _pair_similarity(_ngram_counts(a), len(a), _ngram_counts(b), len(b), LogRows())
 
 
-def _pair_similarity(a: Grams, a_len: int, b: Grams, b_len: int) -> float:
+def _pair_similarity(a: Grams, a_len: int, b: Grams, b_len: int, rows: LogRows) -> float:
     """``similarity`` from each side's ``_ngram_counts`` and length.
 
-    Two empty sides score 1.0 and one empty side 0.0, as sentence BLEU does.
+    Two empty sides score 1.0 and one empty side 0.0, as sentence BLEU
+    does, and a pair sharing no token 0.0, as both its directions do.
+    Equal lengths score the same both ways with a brevity penalty of 1.0,
+    and 0.5 * (x + x) is x exactly, so such a pair is smoothed once.
     """
     if not a_len or not b_len:
         return 1.0 if a_len == b_len else 0.0
     matches = _shared_matches(a, b)
-    return 0.5 * (_smoothed_bleu(matches, a_len, b_len) + _smoothed_bleu(matches, b_len, a_len))
+    if not matches[0]:
+        return 0.0
+    forward = _smoothed_from_rows(rows, matches, a_len, b_len)
+    if a_len == b_len:
+        return forward
+    return 0.5 * (forward + _smoothed_from_rows(rows, matches, b_len, a_len))
 
 
-def select_center(cluster: TranslationCluster) -> CentroidChoice:
+def select_center(cluster: TranslationCluster, rows: LogRows | None = None) -> CentroidChoice:
     """Pick the candidate with the highest similarity sum to the rest.
 
     Ties break toward the first candidate in input order; a singleton
-    cluster returns its only candidate with centrality 0.
+    cluster returns its only candidate with centrality 0.  ``rows`` may
+    carry log precisions over from earlier clusters; a fresh set is
+    built when it is not given.
     """
     candidates = cluster.candidates
     if not candidates:
         raise ValueError(f"empty cluster for line {cluster.line_id!r}")
+    if rows is None:
+        rows = LogRows()
     k = len(candidates)
     counts = [_ngram_counts(tokens) for _, tokens in candidates]
     lengths = [len(tokens) for _, tokens in candidates]
     scores = [0.0] * k
     for i in range(k):
         for j in range(i + 1, k):
-            value = _pair_similarity(counts[i], lengths[i], counts[j], lengths[j])
+            value = _pair_similarity(counts[i], lengths[i], counts[j], lengths[j], rows)
             scores[i] += value
             scores[j] += value
     best = max(range(k), key=scores.__getitem__)
@@ -101,6 +127,8 @@ def combine_corpus(translations: Sequence[ParallelText]) -> tuple[ParallelText, 
             raise ValueError(f"language {text.language!r} is given twice")
         histogram[text.language] = 0
     ids = same_ids(translations)
+    # shared by every cluster of this call and dropped with it
+    rows = LogRows()
     choices: list[CentroidChoice] = []
     lines: dict[str, tuple[str, ...]] = {}
     for lid in ids:
@@ -108,7 +136,7 @@ def combine_corpus(translations: Sequence[ParallelText]) -> tuple[ParallelText, 
             line_id=lid,
             candidates=tuple((text.language, text.lines[lid]) for text in translations),
         )
-        choice = select_center(cluster)
+        choice = select_center(cluster, rows)
         choices.append(choice)
         histogram[choice.chosen_language] += 1
         lines[lid] = choice.chosen_tokens

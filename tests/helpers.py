@@ -16,6 +16,8 @@ from lowresmt.align import (
     WordStatistics,
     viterbi_align,
 )
+from lowresmt.bleu import MAX_ORDER, _ngram_counts, _shared_matches, brevity_penalty
+from lowresmt.combine import CentroidChoice
 from lowresmt.corpus import ParallelText, read_rows
 from lowresmt.datagen import find_view_mentions, render_sources
 from lowresmt.lexicon import LexiconTable, bind, render_template
@@ -205,6 +207,59 @@ def oracle_statistics(model, bitext) -> AlignmentStatistics:
         for word, (n, f, d, j) in tallies.items()
     }
     return AlignmentStatistics(words=words, source_lengths=dict(lengths))
+
+
+def compensated_sum(values, start=0):
+    """The builtin ``sum`` as Python 3.12 and later add floats: Neumaier-compensated."""
+    total = float(start)
+    compensation = 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+def oracle_smoothed_bleu(matches, hyp_len, ref_len) -> float:
+    """Smoothed sentence BLEU from clipped matches, one ``math.log`` per order."""
+    log_sum = 0.0
+    for order, match in enumerate(matches, start=1):
+        total = max(hyp_len - order + 1, 0)
+        if order == 1:
+            precision = match / total
+        else:
+            precision = (match + 1) / (total + 1)
+        if precision == 0.0:
+            return 0.0
+        log_sum += math.log(precision)
+    return brevity_penalty(hyp_len, ref_len) * math.exp(log_sum / MAX_ORDER)
+
+
+def oracle_select_center(cluster) -> CentroidChoice:
+    """``select_center`` smoothing both directions of every pair, whatever their lengths."""
+    candidates = cluster.candidates
+    counts = [_ngram_counts(tokens) for _, tokens in candidates]
+    lengths = [len(tokens) for _, tokens in candidates]
+    scores = [0.0] * len(candidates)
+    for i in range(len(candidates)):
+        for j in range(i + 1, len(candidates)):
+            a_len, b_len = lengths[i], lengths[j]
+            if not a_len or not b_len:
+                value = 1.0 if a_len == b_len else 0.0
+            else:
+                matches = _shared_matches(counts[i], counts[j])
+                value = 0.5 * (
+                    oracle_smoothed_bleu(matches, a_len, b_len)
+                    + oracle_smoothed_bleu(matches, b_len, a_len)
+                )
+            scores[i] += value
+            scores[j] += value
+    best = max(range(len(candidates)), key=scores.__getitem__)
+    language, tokens = candidates[best]
+    return CentroidChoice(cluster.line_id, language, tuple(tokens), scores[best])
 
 
 def parallel_from_lines(language: str, rows: list[tuple[str, list[str]]]) -> ParallelText:

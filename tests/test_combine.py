@@ -5,9 +5,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import compensated_sum, oracle_select_center
 from lowresmt import bleu, combine
 from lowresmt.combine import (
     CentroidChoice,
@@ -252,8 +253,49 @@ def test_centrality_is_the_index_ordered_similarity_sum(token_lists):
     assert choice.centrality == sums[best]
 
 
-def seeded_translations(seed=5, lines=200, languages=10, vocab_size=80):
-    """Paper-shaped clusters: noisy variants of one 15-30-token line per id.
+@st.composite
+def noisy_clusters(draw):
+    """1 to 11 noisy copies of one line of 0 to 80 tokens, each of its length or another.
+
+    A vocabulary of one to a few dozen words repeats grams at every order.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 30)))]
+    base = [rng.choice(vocab) for _ in range(draw(st.integers(0, 80)))]
+    noise = draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+    sentences = []
+    for _ in range(draw(st.integers(1, 11))):
+        length = len(base) if draw(st.booleans()) else draw(st.integers(0, 80))
+        sentences.append([
+            base[i] if i < len(base) and rng.random() >= noise else rng.choice(vocab)
+            for i in range(length)
+        ])
+    return sentences
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(sentences=noisy_clusters())
+# equal lengths: each pair smoothed once
+@example(sentences=["a b c d".split(), "a b c x".split(), "a b x d".split(), "x b c d".split()])
+# no shared token at unequal lengths: 0.0 without a lookup
+@example(sentences=["a b".split(), "x y z".split(), "p q r s t".split()])
+@example(sentences=[[], [], ["a"], "a a a".split(), "a a a a a".split()])
+def test_select_center_is_bit_identical_to_smoothing_both_directions(sentences):
+    cluster = cluster_of("L", sentences)
+    choice = select_center(cluster)
+    expected = oracle_select_center(cluster)
+    assert (choice.chosen_language, choice.chosen_tokens) == (
+        expected.chosen_language,
+        expected.chosen_tokens,
+    )
+    assert repr(choice.centrality) == repr(expected.centrality)
+    if len(sentences) > 1:
+        pair = oracle_select_center(cluster_of("L", sentences[:2]))
+        assert repr(similarity(*sentences[:2])) == repr(pair.centrality)
+
+
+def seeded_translations(seed=5, lines=200, languages=10, vocab_size=80, lengths=(15, 30)):
+    """Paper-shaped clusters: noisy variants of one line per id, 15-30 tokens by default.
 
     About 2% of candidates are empty, about 10% copy an earlier candidate
     of their line exactly, and line ``L100`` is empty in every language.
@@ -263,14 +305,14 @@ def seeded_translations(seed=5, lines=200, languages=10, vocab_size=80):
     rows = [{} for _ in range(languages)]
     for n in range(lines):
         lid = f"L{n:03d}"
-        base = [rng.choice(vocab) for _ in range(rng.randint(15, 30))]
+        base = [rng.choice(vocab) for _ in range(rng.randint(*lengths))]
         for j, row in enumerate(rows):
             if n == 100 or rng.random() < 0.02:
                 row[lid] = ()
             elif j and rng.random() < 0.1:
                 row[lid] = rows[rng.randrange(j)][lid]
             else:
-                kept = base[: max(15, len(base) - rng.randint(0, 4))]
+                kept = base[: max(lengths[0], len(base) - rng.randint(0, 4))]
                 row[lid] = tuple(
                     rng.choice(vocab) if rng.random() < 0.25 else token for token in kept
                 )
@@ -280,6 +322,16 @@ def seeded_translations(seed=5, lines=200, languages=10, vocab_size=80):
 def test_report_is_byte_identical_to_the_golden_file(tmp_path):
     # the golden file was written by the pair-by-pair ``similarity`` combiner;
     # centralities are written with repr, so any float drift shows here
+    _, report = combine_corpus(seeded_translations())
+    path = tmp_path / "choices.tsv"
+    write_combine_report(report, path)
+    assert path.read_bytes() == GOLDEN_REPORT.read_bytes()
+
+
+def test_golden_report_does_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
+    # Python 3.12 made the builtin sum of floats compensated
+    for module in (bleu, combine):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     _, report = combine_corpus(seeded_translations())
     path = tmp_path / "choices.tsv"
     write_combine_report(report, path)
@@ -323,3 +375,20 @@ def test_combine_corpus_keeps_no_counts_past_their_cluster():
         tracemalloc.stop()
     assert kept <= 64 * 1024, kept
     assert held - kept <= 300 * 1024, held - kept
+
+
+def test_combine_corpus_keeps_no_log_rows_past_the_call():
+    # lines of 150-200 tokens need 52 log rows of up to 200 floats, about
+    # 290 KiB while the call runs; none may outlive it
+    translations = seeded_translations(seed=3, lines=40, lengths=(150, 200))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = combine_corpus(translations)
+        del result
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 64 * 1024, kept
