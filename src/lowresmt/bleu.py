@@ -143,10 +143,9 @@ def sentence_bleu(hypothesis: Tokens, reference: Tokens) -> float:
         return 1.0
     if not hypothesis or not reference:
         return 0.0
-    matches = _clipped_matches(hypothesis, reference)
-    if not matches[0]:
-        return 0.0
-    return _smoothed_from_rows(LogRows(), matches, len(hypothesis), len(reference))
+    return _smoothed_from_rows(
+        LogRows(), _clipped_matches(hypothesis, reference), len(hypothesis), len(reference)
+    )
 
 
 class LogRows(dict):
@@ -170,13 +169,15 @@ class LogRows(dict):
 
 
 def _smoothed_from_rows(rows: LogRows, matches: Sequence[int], hyp_len: int, ref_len: int) -> float:
-    """Sentence BLEU of a non-empty hypothesis sharing a unigram with its reference.
+    """Sentence BLEU of a non-empty hypothesis from the clipped matches of orders 1 to 4.
 
-    ``matches`` are the clipped matches of orders 1 to 4.  Their log
-    precisions are added left to right, order 1 first, the association
-    that every pinned score was written with.
+    No shared unigram scores 0.0 before any lookup.  The log precisions
+    are added left to right, order 1 first, the association that every
+    pinned score was written with.
     """
     m1, m2, m3, m4 = matches
+    if not m1:
+        return 0.0
     row = rows[hyp_len]
     log_sum = ((row[m1 - 1] + row[m2]) + rows[hyp_len - 1][m3]) + rows[hyp_len - 2][m4]
     return brevity_penalty(hyp_len, ref_len) * math.exp(log_sum / MAX_ORDER)

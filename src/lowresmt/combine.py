@@ -7,9 +7,9 @@ directions, which is symmetric and reference-free within the cluster.
 
 Each candidate's n-gram occurrence sets are built once per cluster.
 Clipped matches are symmetric, so each unordered pair's are taken once,
-as four set intersections in C (one per order).  A pair sharing no
-token scores 0.0 right there.  Otherwise a direction is smoothed from
-``bleu.LogRows``: four row lookups, one sum and one ``exp``, with rows
+as four set intersections in C (one per order).  A direction is
+smoothed from ``bleu.LogRows``: four row lookups, three additions and
+one ``exp`` (none when the pair shares no token: it scores 0.0), with rows
 that ``combine_corpus`` builds once per denominator and drops when it
 returns.  A pair of equal lengths scores the same both ways and is
 smoothed once; the pair's similarity is added to both candidates' sums.
@@ -69,15 +69,13 @@ def _pair_similarity(a: Grams, a_len: int, b: Grams, b_len: int, rows: LogRows) 
     """``similarity`` from each side's ``_ngram_counts`` and length.
 
     Two empty sides score 1.0 and one empty side 0.0, as sentence BLEU
-    does, and a pair sharing no token 0.0, as both its directions do.
-    Equal lengths score the same both ways with a brevity penalty of 1.0,
-    and 0.5 * (x + x) is x exactly, so such a pair is smoothed once.
+    does.  Equal lengths score the same both ways with a brevity penalty
+    of 1.0, and 0.5 * (x + x) is x exactly, so such a pair is smoothed
+    once.
     """
     if not a_len or not b_len:
         return 1.0 if a_len == b_len else 0.0
     matches = _shared_matches(a, b)
-    if not matches[0]:
-        return 0.0
     forward = _smoothed_from_rows(rows, matches, a_len, b_len)
     if a_len == b_len:
         return forward
