@@ -17,13 +17,14 @@ A cluster of k therefore costs k set builds, k(k-1)/2 pairs of four
 intersections, and at most two row lookups of four terms per pair.
 
 Measured on 2 CPUs with Python 3.11.7, against smoothing both directions
-of every pair with four ``math.log`` calls each (identical reports):
-``combine_corpus`` took 96 against 133 ms (median of 9) on the
-benchmark's postprocess inputs, 250 lines x 10 members, where every pair
-has equal lengths; 11.5 against 15.6 s on 31,000 lines x 10 members from
-``perfbench.inputs.postprocess``; and 395 against 515 ms (median of 5)
-on 1,000 lines x 10 members of 15-30 tokens, where 31% of pairs have
-equal lengths.
+of every pair with four ``math.log`` calls each, side by side because
+the host's speed drifts (reports identical): ``combine_corpus`` took a
+median 114 against 157 ms on the benchmark's postprocess inputs, 250
+lines x 10 members where every pair has equal lengths (6 alternating
+processes, each the median of 9 calls); 13.6 against 19.3 s on 31,000
+lines x 10 members from ``perfbench.inputs.postprocess``; and 457
+against 618 ms on 1,000 lines x 10 members of 15-30 tokens, where 31%
+of pairs have equal lengths.
 """
 from __future__ import annotations
 
