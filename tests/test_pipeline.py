@@ -24,6 +24,9 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures" / "e2e"
 # ``lowresmt pipeline --stage all`` on the fixture with the golden manifest's family
 # and ``"lexicon": null``
 NO_LEXICON_GOLDEN = FIXTURE_DIR.parent / "e2e_no_lexicon_manifest.json"
+# ``lowresmt pipeline --stage all`` on the fixture with the family aaa-ddd and
+# ``"split_mode": "shuffled"``
+SHUFFLED_GOLDEN = FIXTURE_DIR.parent / "e2e_shuffled_manifest.json"
 FAMILY = ("fa", "fb", "fc")
 TARGET = "low"
 
@@ -278,6 +281,15 @@ def test_a_run_without_a_lexicon_writes_the_golden_manifest(tmp_path, caplog):
     assert run_cli("pipeline", corpus_dir, tmp_path / "out", "--stage", "all") == 0
     assert STAGE1_LOSS not in caplog.text
     assert (tmp_path / "out" / "manifest.json").read_bytes() == NO_LEXICON_GOLDEN.read_bytes()
+    assert main(["verify", str(tmp_path / "out")]) == 0
+
+
+def test_a_shuffled_run_writes_the_golden_manifest(tmp_path):
+    golden = json.loads(SHUFFLED_GOLDEN.read_text(encoding="utf-8"))
+    assert golden["split_mode"] == "shuffled"
+    corpus_dir = fixture_copy(tmp_path, family=golden["family"], split_mode="shuffled")
+    assert run_cli("pipeline", corpus_dir, tmp_path / "out", "--stage", "all") == 0
+    assert (tmp_path / "out" / "manifest.json").read_bytes() == SHUFFLED_GOLDEN.read_bytes()
     assert main(["verify", str(tmp_path / "out")]) == 0
 
 
