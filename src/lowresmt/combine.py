@@ -1,6 +1,7 @@
 """Merging per-source-language translations into one output.
 
-Each line's candidates form a cluster; the kept translation is the one
+Each line's candidates, (language, tokens) pairs in input order, form a
+cluster; the kept translation is the one
 maximizing the sum of similarities to all other candidates, i.e. the
 cluster center.  Similarity is smoothed sentence BLEU averaged over both
 directions, which is symmetric and reference-free within the cluster.
@@ -40,14 +41,6 @@ from .corpus import ParallelText, same_ids, write_lines
 
 
 @dataclass(frozen=True)
-class TranslationCluster:
-    """All candidate translations of one line, ordered by source language."""
-
-    line_id: str
-    candidates: tuple[tuple[str, tuple[str, ...]], ...]
-
-
-@dataclass(frozen=True)
 class CentroidChoice:
     line_id: str
     chosen_language: str
@@ -83,19 +76,18 @@ def _pair_similarity(a: Grams, a_len: int, b: Grams, b_len: int, rows: LogRows) 
     return 0.5 * (forward + _smoothed_from_rows(rows, matches, b_len, a_len))
 
 
-def select_center(cluster: TranslationCluster, rows: LogRows | None = None) -> CentroidChoice:
-    """Pick the candidate with the highest similarity sum to the rest.
+def select_center(
+    line_id: str, candidates: Sequence[tuple[str, Tokens]], rows: LogRows
+) -> CentroidChoice:
+    """Pick the (language, tokens) candidate with the highest similarity sum to the rest.
 
     Ties break toward the first candidate in input order; a singleton
-    cluster returns its only candidate with centrality 0.  ``rows`` may
-    carry log precisions over from earlier clusters; a fresh set is
-    built when it is not given.
+    cluster returns its only candidate with centrality 0.  ``rows`` holds
+    the log precisions that every cluster of one ``combine_corpus`` call
+    shares.
     """
-    candidates = cluster.candidates
     if not candidates:
-        raise ValueError(f"empty cluster for line {cluster.line_id!r}")
-    if rows is None:
-        rows = LogRows()
+        raise ValueError(f"empty cluster for line {line_id!r}")
     k = len(candidates)
     counts = [_ngram_counts(tokens) for _, tokens in candidates]
     lengths = [len(tokens) for _, tokens in candidates]
@@ -107,7 +99,7 @@ def select_center(cluster: TranslationCluster, rows: LogRows | None = None) -> C
             scores[j] += value
     best = max(range(k), key=scores.__getitem__)
     language, tokens = candidates[best]
-    return CentroidChoice(cluster.line_id, language, tuple(tokens), scores[best])
+    return CentroidChoice(line_id, language, tuple(tokens), scores[best])
 
 
 def combine_corpus(translations: Sequence[ParallelText]) -> tuple[ParallelText, CombineReport]:
@@ -131,11 +123,8 @@ def combine_corpus(translations: Sequence[ParallelText]) -> tuple[ParallelText, 
     choices: list[CentroidChoice] = []
     lines: dict[str, tuple[str, ...]] = {}
     for lid in ids:
-        cluster = TranslationCluster(
-            line_id=lid,
-            candidates=tuple((text.language, text.lines[lid]) for text in translations),
-        )
-        choice = select_center(cluster, rows)
+        candidates = [(text.language, text.lines[lid]) for text in translations]
+        choice = select_center(lid, candidates, rows)
         choices.append(choice)
         histogram[choice.chosen_language] += 1
         lines[lid] = choice.chosen_tokens

@@ -8,7 +8,8 @@ immutable after construction and safe to share across threads.
 Every match of line ids across texts happens here: ``same_ids`` for texts
 that must hold the same lines in any order (a ragged text is named with
 its first missing, or else extra, id), ``restrict``, ``intersect`` and
-``bitext``.
+``bitext``.  ``intersect`` and ``split`` plan on ids alone: they return
+id lists and copy no text.
 """
 from __future__ import annotations
 
@@ -246,36 +247,35 @@ def bitext(
     ]
 
 
-def intersect(texts: Sequence[ParallelText]) -> list[ParallelText]:
-    """Restrict every text to the line ids shared by all, in first-text order."""
+def intersect(texts: Sequence[ParallelText]) -> list[str]:
+    """The line ids every text holds, in first-text order; no text is copied."""
     if len(texts) < 2:
         raise ValueError("intersect needs at least two texts")
-    rest = texts[1:]
-    common = [lid for lid in texts[0].lines if all(lid in t.lines for t in rest)]
+    first, *rest = texts
+    common = [lid for lid in first.lines if all(lid in t.lines for t in rest)]
     if not common:
         raise ValueError("no line ids shared by all texts")
-    return [restrict(text, common) for text in texts]
+    return common
 
 
-def split(text: ParallelText, spec: SplitSpec) -> dict[str, ParallelText]:
-    """Partition ``text`` into named splits; deterministic under a fixed seed.
+def split(line_ids: Sequence[str], spec: SplitSpec) -> dict[str, list[str]]:
+    """Partition ``line_ids`` into named id lists; deterministic under a fixed seed.
 
-    Contiguous mode preserves document order.  Shuffled mode draws lines
-    with the configured seed but still emits each split in document order.
+    Contiguous mode preserves the given order.  Shuffled mode draws ids
+    with the configured seed but still lists each split in the given order.
     """
-    ids = list(text.lines)
+    ids = list(line_ids)
     if spec.mode == "shuffled":
         random.Random(spec.seed).shuffle(ids)
     n = len(ids)
     sizes = [math.floor(n * fraction + 1e-9) for _, fraction in spec.ratios[:-1]]
     sizes.append(n - sum(sizes))
-    position = {lid: k for k, lid in enumerate(text.lines)}
-    out: dict[str, ParallelText] = {}
+    position = {lid: k for k, lid in enumerate(line_ids)}
+    out: dict[str, list[str]] = {}
     start = 0
     for (name, _), size in zip(spec.ratios, sizes):
         if size <= 0:
             raise ValueError(f"split {name!r} would receive {size} lines (n={n})")
-        chunk = sorted(ids[start : start + size], key=position.__getitem__)
-        out[name] = restrict(text, chunk)
+        out[name] = sorted(ids[start : start + size], key=position.__getitem__)
         start += size
     return out

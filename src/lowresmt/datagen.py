@@ -266,13 +266,14 @@ def find_view_mentions(
 
     The pipeline searches its whole corpora once and every stage renders
     from the map; ``tag`` searches its one language.  Without a table no
-    line has a mention, so every line is written as is.
+    line has a mention, so every line is written as is.  A line without
+    mentions maps to the one empty tuple ``()``, with a table or without.
     """
     if table is None:
         return {lang: dict.fromkeys(text.lines, ()) for lang, text in view.items()}
     return {
         lang: {
-            lid: find_mentions(tokens, lang, table, edit_threshold)
+            lid: find_mentions(tokens, lang, table, edit_threshold) or ()
             for lid, tokens in text.lines.items()
         }
         for lang, text in view.items()
@@ -311,16 +312,19 @@ def stage_splits(
     """Each split's name and line ids, in write order: the stage's plan.
 
     Stage 1 splits the ids the whole family shares (``intersect``), stages
-    2 and 3 the low-resource ids (``symmetrize``).  No shared id, a member
+    2 and 3 the low-resource text's ids, in its order, once ``symmetrize``
+    has checked that every member holds them.  No shared id, a member
     lacking a low-resource id and an empty split raise here, once, so the
-    writer trusts the plan.
+    writer trusts the plan.  Only ids are planned: no text is copied but
+    by ``symmetrize``'s check.
     """
     texts = [corpora[lang] for lang in family]
     if stage == 1:
-        first = intersect(texts)[0]
+        ids = intersect(texts)
     else:
-        first = symmetrize(corpora[low_resource], texts)[family[0]]
-    return {name: list(part.lines) for name, part in split_corpus(first, split).items()}
+        symmetrize(corpora[low_resource], texts)
+        ids = list(corpora[low_resource].lines)
+    return split_corpus(ids, split)
 
 
 def emit_stage(

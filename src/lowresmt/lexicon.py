@@ -167,9 +167,13 @@ def absent_languages(table: LexiconTable, languages: Iterable[str]) -> list[str]
     return [language for language in languages if language not in held]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
-    """One entity occurrence: token span [start, end) and matched surface."""
+    """One entity occurrence: token span [start, end) and matched surface.
+
+    Slotted, so a mention carries no ``__dict__``: the pipeline holds one
+    per entity occurrence in its whole corpora.
+    """
 
     start: int
     end: int

@@ -238,9 +238,8 @@ def oracle_smoothed_bleu(matches, hyp_len, ref_len) -> float:
     return brevity_penalty(hyp_len, ref_len) * math.exp(log_sum / MAX_ORDER)
 
 
-def oracle_select_center(cluster) -> CentroidChoice:
+def oracle_select_center(line_id, candidates) -> CentroidChoice:
     """``select_center`` smoothing both directions of every pair, whatever their lengths."""
-    candidates = cluster.candidates
     counts = [_ngram_counts(tokens) for _, tokens in candidates]
     lengths = [len(tokens) for _, tokens in candidates]
     scores = [0.0] * len(candidates)
@@ -259,7 +258,7 @@ def oracle_select_center(cluster) -> CentroidChoice:
             scores[j] += value
     best = max(range(len(candidates)), key=scores.__getitem__)
     language, tokens = candidates[best]
-    return CentroidChoice(cluster.line_id, language, tuple(tokens), scores[best])
+    return CentroidChoice(line_id, language, tuple(tokens), scores[best])
 
 
 def parallel_from_lines(language: str, rows: list[tuple[str, list[str]]]) -> ParallelText:

@@ -11,9 +11,9 @@ from pathlib import Path
 
 from helpers import make_entity_table, make_filler_words, tag_line
 from lowresmt.align import collect_statistics, train_alignment
-from lowresmt.bleu import corpus_bleu
+from lowresmt.bleu import LogRows, corpus_bleu
 from lowresmt.cli import main
-from lowresmt.combine import TranslationCluster, select_center
+from lowresmt.combine import select_center
 from lowresmt.corpus import ParallelText
 from lowresmt.datagen import emit_complete, emit_star, file_sha256, find_view_mentions
 from lowresmt.lexicon import LexiconTable, build_target_dictionary, detag
@@ -225,10 +225,8 @@ def test_combiner_oracle():
             tuple(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
             for _ in range(k)
         ]
-        cluster = TranslationCluster(
-            "L", tuple((f"lang{i}", s) for i, s in enumerate(sentences))
-        )
-        choice = select_center(cluster)
+        candidates = [(f"lang{i}", s) for i, s in enumerate(sentences)]
+        choice = select_center("L", candidates, LogRows())
         centralities = [
             sum(oracle_similarity(a, b) for j, b in enumerate(sentences) if j != i)
             for i, a in enumerate(sentences)
@@ -255,10 +253,8 @@ def test_combiner_oracle():
         ]
         order = list(range(len(sentences)))
         rng.shuffle(order)
-        cluster = TranslationCluster(
-            "L", tuple((f"lang{i}", sentences[i]) for i in order)
-        )
-        if select_center(cluster).chosen_tokens != kept:
+        candidates = [(f"lang{i}", sentences[i]) for i in order]
+        if select_center("L", candidates, LogRows()).chosen_tokens != kept:
             duplicate_failures += 1
     report(
         "Combiner oracle: select_center matches exhaustive brute force on 500"

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import compensated_sum, oracle_select_center
 from lowresmt import bleu, combine
+from lowresmt.bleu import LogRows
 from lowresmt.combine import (
     CentroidChoice,
-    TranslationCluster,
     combine_corpus,
     select_center,
     similarity,
@@ -49,11 +49,13 @@ def oracle_similarity(a, b):
     return 0.5 * (one_way(a, b) + one_way(b, a))
 
 
-def cluster_of(line_id, sentences):
-    return TranslationCluster(
-        line_id=line_id,
-        candidates=tuple((f"lang{i}", tuple(s)) for i, s in enumerate(sentences)),
-    )
+def candidates_of(sentences):
+    return tuple((f"lang{i}", tuple(s)) for i, s in enumerate(sentences))
+
+
+def center_of(sentences, line_id="L"):
+    """``select_center`` over ``sentences`` as the candidates of languages lang0, lang1, ..."""
+    return select_center(line_id, candidates_of(sentences), LogRows())
 
 
 def random_sentences(rng, count, vocab_size=8, max_len=7):
@@ -95,27 +97,24 @@ class TestSimilarity:
 
 class TestSelectCenter:
     def test_majority_duplicate_wins(self):
-        choice = select_center(
-            cluster_of("L1", [["a", "b", "c"], ["a", "b", "c"], ["x", "y", "z"]])
-        )
+        choice = center_of([["a", "b", "c"], ["a", "b", "c"], ["x", "y", "z"]])
         assert choice.chosen_tokens == ("a", "b", "c")
         assert choice.chosen_language == "lang0"
 
     def test_singleton_returns_its_candidate(self):
-        choice = select_center(cluster_of("L1", [["hello", "there"]]))
+        choice = center_of([["hello", "there"]], "L1")
         assert choice.chosen_tokens == ("hello", "there")
         assert choice.centrality == 0.0
 
     def test_empty_cluster_is_an_error(self):
         with pytest.raises(ValueError, match="empty cluster"):
-            select_center(TranslationCluster("L1", ()))
+            select_center("L1", (), LogRows())
 
     def test_matches_brute_force_on_random_clusters(self):
         rng = random.Random(7)
         for _ in range(100):
             sentences = random_sentences(rng, rng.randint(2, 6))
-            cluster = cluster_of("L", sentences)
-            choice = select_center(cluster)
+            choice = center_of(sentences)
             # exhaustive recomputation with the hand-rolled similarity
             centralities = []
             for i, a in enumerate(sentences):
@@ -134,11 +133,8 @@ class TestSelectCenter:
     def test_permutation_invariance_up_to_tie_break(self, seed):
         rng = random.Random(seed)
         sentences = random_sentences(rng, rng.randint(2, 5))
-        cluster = cluster_of("L", sentences)
-        permuted_sentences = sentences[::-1]
-        permuted = cluster_of("L", permuted_sentences)
-        first = select_center(cluster)
-        second = select_center(permuted)
+        first = center_of(sentences)
+        second = center_of(sentences[::-1])
         assert first.centrality == pytest.approx(second.centrality, abs=1e-9)
         # when the argmax is unique the chosen tokens are order-independent
         centralities = [
@@ -154,10 +150,8 @@ class TestSelectCenter:
         for _ in range(40):
             sentences = random_sentences(rng, rng.randint(2, 5))
             index = rng.randrange(len(sentences))
-            base_choice = select_center(cluster_of("L", sentences))
-            boosted = select_center(
-                cluster_of("L", sentences + [list(sentences[index])])
-            )
+            base_choice = center_of(sentences)
+            boosted = center_of(sentences + [list(sentences[index])])
             if base_choice.chosen_tokens == tuple(sentences[index]):
                 assert boosted.chosen_tokens == tuple(sentences[index])
 
@@ -242,7 +236,7 @@ class TestCombineCorpus:
 @given(st.lists(st.lists(st.sampled_from("abcd"), max_size=6), min_size=1, max_size=11))
 def test_centrality_is_the_index_ordered_similarity_sum(token_lists):
     candidates = tuple((f"l{i:02d}", tuple(tokens)) for i, tokens in enumerate(token_lists))
-    choice = select_center(TranslationCluster("L", candidates))
+    choice = select_center("L", candidates, LogRows())
     sums = [
         sum(similarity(a, b) for j, (_, b) in enumerate(candidates) if j != i)
         for i, (_, a) in enumerate(candidates)
@@ -281,16 +275,15 @@ def noisy_clusters(draw):
 @example(sentences=["a b".split(), "x y z".split(), "p q r s t".split()])
 @example(sentences=[[], [], ["a"], "a a a".split(), "a a a a a".split()])
 def test_select_center_is_bit_identical_to_smoothing_both_directions(sentences):
-    cluster = cluster_of("L", sentences)
-    choice = select_center(cluster)
-    expected = oracle_select_center(cluster)
+    choice = center_of(sentences)
+    expected = oracle_select_center("L", candidates_of(sentences))
     assert (choice.chosen_language, choice.chosen_tokens) == (
         expected.chosen_language,
         expected.chosen_tokens,
     )
     assert repr(choice.centrality) == repr(expected.centrality)
     if len(sentences) > 1:
-        pair = oracle_select_center(cluster_of("L", sentences[:2]))
+        pair = oracle_select_center("L", candidates_of(sentences[:2]))
         assert repr(similarity(*sentences[:2])) == repr(pair.centrality)
 
 
@@ -352,7 +345,7 @@ def test_select_center_counts_each_candidate_once(monkeypatch):
     rng = random.Random(4)
     for sentences in (random_sentences(rng, 7), random_sentences(rng, 5) + [[], []]):
         counted.clear()
-        select_center(cluster_of("L", sentences))
+        center_of(sentences)
         assert sorted(counted) == sorted(tuple(s) for s in sentences)
 
 

@@ -89,7 +89,7 @@ class TestLoadText:
         save_text(text, tmp_path / "copy.txt")
         assert load_text(tmp_path / "copy.txt", "x").lines == text.lines
         other = text_of("y", [("V0", "p"), ("V1", "q")])
-        assert list(intersect([text, other])[0].lines) == ["V0", "V1"]
+        assert intersect([text, other]) == ["V0", "V1"]
 
     def test_round_trip_is_byte_identical(self, tmp_path):
         original = write(tmp_path, "a.txt", "ID_1\ta b c\nID_2\td e\n")
@@ -256,15 +256,17 @@ class TestIntersect:
     def test_basic_intersection(self):
         a = text_of("a", [("1", "x"), ("2", "y"), ("3", "z")])
         b = text_of("b", [("2", "p"), ("3", "q"), ("4", "r")])
-        out_a, out_b = intersect([a, b])
-        assert list(out_a.lines) == ["2", "3"]
-        assert list(out_b.lines) == ["2", "3"]
+        assert intersect([a, b]) == ["2", "3"]
+
+    def test_first_text_order(self):
+        a = text_of("a", [("3", "x"), ("1", "y"), ("2", "z")])
+        b = text_of("b", [("1", "p"), ("2", "q"), ("3", "r")])
+        assert intersect([a, b]) == ["3", "1", "2"]
+        assert intersect([b, a]) == ["1", "2", "3"]
 
     def test_identical_texts_unchanged(self):
         a = text_of("a", [("1", "x"), ("2", "y")])
-        out_a, out_b = intersect([a, a])
-        assert out_a.lines == a.lines
-        assert out_b.lines == a.lines
+        assert intersect([a, a]) == list(a.lines)
 
     def test_disjoint_ids_error(self):
         a = text_of("a", [("1", "x")])
@@ -288,49 +290,49 @@ class TestIntersect:
             with pytest.raises(ValueError):
                 intersect([a, b])
             return
-        once_a, once_b = intersect([a, b])
-        twice_a, twice_b = intersect([once_a, once_b])
-        assert twice_a.lines == once_a.lines
-        assert twice_b.lines == once_b.lines
-        swapped_b, swapped_a = intersect([b, a])
-        assert set(swapped_a.lines) == set(once_a.lines)
+        once = intersect([a, b])
+        assert intersect([restrict(a, once), restrict(b, once)]) == once
+        assert set(intersect([b, a])) == set(once)
+
+
+def numbered_ids(n):
+    return [str(i) for i in range(n)]
 
 
 class TestSplit:
     def test_80_10_10_of_100(self):
-        text = text_of("a", [(str(i), f"t{i}") for i in range(100)])
         spec = SplitSpec((("train", 0.8), ("val", 0.1), ("test", 0.1)))
-        parts = split(text, spec)
+        parts = split(numbered_ids(100), spec)
         assert [len(parts[n]) for n in ("train", "val", "test")] == [80, 10, 10]
 
     def test_95_5_of_1093_contiguous(self):
         # floor on all but the last split, which absorbs the remainder
-        text = text_of("a", [(str(i), f"t{i}") for i in range(1093)])
-        parts = split(text, SplitSpec((("train", 0.95), ("val", 0.05))))
+        parts = split(numbered_ids(1093), SplitSpec((("train", 0.95), ("val", 0.05))))
         assert len(parts["train"]) == 1038
         assert len(parts["val"]) == 55
-        assert list(parts["train"].lines)[-1] == "1037"
+        assert parts["train"][-1] == "1037"
 
     def test_single_ratio_is_identity(self):
-        text = text_of("a", [(str(i), f"t{i}") for i in range(7)])
-        parts = split(text, SplitSpec((("all", 1.0),)))
-        assert parts["all"].lines == text.lines
+        ids = numbered_ids(7)
+        parts = split(ids, SplitSpec((("all", 1.0),)))
+        assert parts["all"] == ids
 
     def test_zero_line_split_is_an_error(self):
-        text = text_of("a", [("1", "x"), ("2", "y")])
+        ids = ["1", "2"]
         with pytest.raises(ValueError, match="receive"):
-            split(text, SplitSpec((("train", 0.2), ("val", 0.8))))
+            split(ids, SplitSpec((("train", 0.2), ("val", 0.8))))
         with pytest.raises(ValueError, match="receive"):
-            split(text, SplitSpec((("train", 1.0), ("val", 0.0))))
+            split(ids, SplitSpec((("train", 1.0), ("val", 0.0))))
 
     def test_shuffled_is_deterministic_and_seed_sensitive(self):
-        text = text_of("a", [(str(i), f"t{i}") for i in range(40)])
+        ids = numbered_ids(40)
         spec = SplitSpec((("train", 0.5), ("val", 0.5)), seed=3, mode="shuffled")
-        first = split(text, spec)
-        second = split(text, spec)
-        assert list(first["train"].lines) == list(second["train"].lines)
-        other = split(text, SplitSpec((("train", 0.5), ("val", 0.5)), seed=4, mode="shuffled"))
-        assert list(other["train"].lines) != list(first["train"].lines)
+        first = split(ids, spec)
+        second = split(ids, spec)
+        assert first["train"] == second["train"]
+        other = split(ids, SplitSpec((("train", 0.5), ("val", 0.5)), seed=4, mode="shuffled"))
+        assert other["train"] != first["train"]
+        assert ids == numbered_ids(40)
 
     @given(
         n=st.integers(3, 120),
@@ -339,12 +341,14 @@ class TestSplit:
     )
     @settings(max_examples=60, derandomize=True)
     def test_partition_property(self, n, seed, mode):
-        text = text_of("a", [(str(i), f"t{i}") for i in range(n)])
+        ids = numbered_ids(n)
         spec = SplitSpec((("x", 0.6), ("y", 0.4)), seed=seed, mode=mode)
-        parts = split(text, spec)
-        all_ids = [lid for part in parts.values() for lid in part.lines]
-        assert sorted(all_ids, key=int) == list(text.lines)
+        parts = split(ids, spec)
+        all_ids = [lid for part in parts.values() for lid in part]
+        assert sorted(all_ids, key=int) == ids
         assert len(set(all_ids)) == n
+        # each split lists its ids in the given order, in either mode
+        assert all(part == sorted(part, key=int) for part in parts.values())
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError, match="sum"):

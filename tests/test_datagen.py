@@ -275,6 +275,20 @@ class TestEmitStage:
         assert tgt[0] == "spricht __NE0"
 
 
+def test_a_line_without_mentions_maps_to_the_empty_tuple_with_or_without_a_table():
+    table = LexiconTable({"e1": {"f0": ["Zorblat"], "f1": ["Zorblatu"]}})
+    view = {
+        "f0": ParallelText("f0", {"a": ("Zorblat", "speaks"), "b": ("nobody", "here")}),
+        "f1": ParallelText("f1", {"a": ("no", "one"), "b": ("Zorblatu",)}),
+    }
+    tagged = find_view_mentions(view, table)
+    for found in (tagged, find_view_mentions(view, None)):
+        empty = [line for by_line in found.values() for line in by_line.values() if not line]
+        assert empty and all(line == () for line in empty)
+    (mention,) = tagged["f0"]["a"]
+    assert not hasattr(mention, "__dict__")
+
+
 FILLER = ("abba", "cede", "fig", "hijk", "lamb")
 
 

@@ -17,9 +17,10 @@ caller of ``find_mentions``, and ``datagen``'s source and target
 rendering are the only callers of ``render_template``, so ``tag``
 writes exactly the templates the stage files hold.
 
-Emission copies no text: the writer reads each split's lines from the
-loaded texts by its planned ids, so ``restrict`` is called only where
-texts are loaded, intersected and split, and by ``symmetrize``.
+Emission copies no text: stages are planned on line ids (``intersect``
+and ``split`` return id lists) and the writer reads each split's lines
+from the loaded texts by its planned ids, so ``restrict`` is called only
+where candidates are loaded and by ``symmetrize``'s coverage check.
 """
 import ast
 from pathlib import Path
@@ -139,9 +140,7 @@ def test_one_tagger_searches_and_renders():
 
 def test_emission_copies_no_text():
     assert sorted(call_sites("restrict")) == [
-        ("corpus.py", "intersect"),
         ("corpus.py", "load_candidates"),
-        ("corpus.py", "split"),
         ("datagen.py", "symmetrize"),
     ]
 
