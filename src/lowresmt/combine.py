@@ -1,10 +1,10 @@
 """Merging per-source-language translations into one output.
 
 Each line's candidates, (language, tokens) pairs in input order, form a
-cluster; the kept translation is the one
-maximizing the sum of similarities to all other candidates, i.e. the
-cluster center.  Similarity is smoothed sentence BLEU averaged over both
-directions, which is symmetric and reference-free within the cluster.
+cluster; the kept translation is the one maximizing the sum of
+similarities to all other candidates, i.e. the cluster center.
+Similarity is smoothed sentence BLEU averaged over both directions,
+which is symmetric and reference-free within the cluster.
 
 Each candidate's n-gram occurrence sets are built once per cluster.
 Clipped matches are symmetric, so each unordered pair's are taken once,

@@ -8,8 +8,7 @@ immutable after construction and safe to share across threads.
 Every match of line ids across texts happens here: ``same_ids`` for texts
 that must hold the same lines in any order (a ragged text is named with
 its first missing, or else extra, id), ``restrict``, ``intersect`` and
-``bitext``.  ``intersect`` and ``split`` plan on ids alone: they return
-id lists and copy no text.
+``bitext``.
 """
 from __future__ import annotations
 
@@ -251,8 +250,8 @@ def intersect(texts: Sequence[ParallelText]) -> list[str]:
     """The line ids every text holds, in first-text order; no text is copied."""
     if len(texts) < 2:
         raise ValueError("intersect needs at least two texts")
-    first, *rest = texts
-    common = [lid for lid in first.lines if all(lid in t.lines for t in rest)]
+    rest = texts[1:]
+    common = [lid for lid in texts[0].lines if all(lid in t.lines for t in rest)]
     if not common:
         raise ValueError("no line ids shared by all texts")
     return common

@@ -167,13 +167,10 @@ def absent_languages(table: LexiconTable, languages: Iterable[str]) -> list[str]
     return [language for language in languages if language not in held]
 
 
+# slotted: the pipeline holds one per entity occurrence in all its texts
 @dataclass(frozen=True, slots=True)
 class Mention:
-    """One entity occurrence: token span [start, end) and matched surface.
-
-    Slotted, so a mention carries no ``__dict__``: the pipeline holds one
-    per entity occurrence in its whole corpora.
-    """
+    """One entity occurrence: token span [start, end) and matched surface."""
 
     start: int
     end: int
