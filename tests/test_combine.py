@@ -53,9 +53,9 @@ def candidates_of(sentences):
     return tuple((f"lang{i}", tuple(s)) for i, s in enumerate(sentences))
 
 
-def center_of(sentences, line_id="L"):
+def center_of(sentences):
     """``select_center`` over ``sentences`` as the candidates of languages lang0, lang1, ..."""
-    return select_center(line_id, candidates_of(sentences), LogRows())
+    return select_center("L", candidates_of(sentences), LogRows())
 
 
 def random_sentences(rng, count, vocab_size=8, max_len=7):
@@ -102,7 +102,7 @@ class TestSelectCenter:
         assert choice.chosen_language == "lang0"
 
     def test_singleton_returns_its_candidate(self):
-        choice = center_of([["hello", "there"]], "L1")
+        choice = center_of([["hello", "there"]])
         assert choice.chosen_tokens == ("hello", "there")
         assert choice.centrality == 0.0
 
