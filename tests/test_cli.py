@@ -22,6 +22,23 @@ def write(path, content):
     return path
 
 
+def tag_fixture_lrx(tmp_path, lexicon):
+    """The template and dictionary bytes that `lowresmt tag` writes for e2e/lrx.txt."""
+    tagged = tmp_path / "tagged.txt"
+    dicts = tmp_path / "dicts.tsv"
+    assert main(
+        [
+            "tag",
+            "--input", str(FIXTURES / "e2e" / "lrx.txt"),
+            "--language", "lrx",
+            "--lexicon", str(lexicon),
+            "--output", str(tagged),
+            "--dicts", str(dicts),
+        ]
+    ) == 0
+    return tagged.read_bytes(), dicts.read_bytes()
+
+
 @pytest.fixture
 def small_corpus_dir(tmp_path):
     corpus = tmp_path / "corpus"
@@ -304,20 +321,18 @@ class TestTagDetag:
         assert scores.read_text(encoding="utf-8").splitlines()[1].startswith("1.000000\t")
 
     def test_fixture_tagging_is_byte_identical_to_the_golden_copy(self, tmp_path):
-        tagged = tmp_path / "tagged.txt"
-        dicts = tmp_path / "dicts.tsv"
-        assert main(
-            [
-                "tag",
-                "--input", str(FIXTURES / "e2e" / "lrx.txt"),
-                "--language", "lrx",
-                "--lexicon", str(FIXTURES / "e2e" / "lexicon.tsv"),
-                "--output", str(tagged),
-                "--dicts", str(dicts),
-            ]
-        ) == 0
-        assert tagged.read_bytes() == (FIXTURES / "e2e_tag_lrx.txt").read_bytes()
-        assert dicts.read_bytes() == (FIXTURES / "e2e_tag_lrx_dicts.tsv").read_bytes()
+        tagged, dicts = tag_fixture_lrx(tmp_path, FIXTURES / "e2e" / "lexicon.tsv")
+        assert tagged == (FIXTURES / "e2e_tag_lrx.txt").read_bytes()
+        assert dicts == (FIXTURES / "e2e_tag_lrx_dicts.tsv").read_bytes()
+
+    def test_fixture_fuzzy_tagging_is_byte_identical_to_the_golden_copy(self, tmp_path):
+        # each lrx form of this lexicon is one or two edits from its surface in
+        # the text (one in lower case), so every mention is a fuzzy match;
+        # e019's form is three edits away, so TnusvnqzLrx stays untagged
+        tagged, dicts = tag_fixture_lrx(tmp_path, FIXTURES / "e2e_lexicon_variants.tsv")
+        assert tagged == (FIXTURES / "e2e_tag_lrx_variants.txt").read_bytes()
+        assert dicts == (FIXTURES / "e2e_tag_lrx_variants_dicts.tsv").read_bytes()
+        assert b"TnusvnqzLrx" in tagged and b"e019" not in dicts
 
     def test_tag_warns_once_for_a_language_the_lexicon_lacks(self, tmp_path, caplog):
         lexicon = write(tmp_path / "lex.tsv", "e1\ten\tYi\ne1\tde\tJi\n")
