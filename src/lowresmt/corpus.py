@@ -250,8 +250,8 @@ def intersect(texts: Sequence[ParallelText]) -> list[str]:
     """The line ids every text holds, in first-text order; no text is copied."""
     if len(texts) < 2:
         raise ValueError("intersect needs at least two texts")
-    rest = texts[1:]
-    common = [lid for lid in texts[0].lines if all(lid in t.lines for t in rest)]
+    shared = set(texts[0].lines).intersection(*(text.lines for text in texts[1:]))
+    common = [lid for lid in texts[0].lines if lid in shared]
     if not common:
         raise ValueError("no line ids shared by all texts")
     return common

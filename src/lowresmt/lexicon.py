@@ -10,15 +10,14 @@ index (as in SymSpell): every string reachable from a casefolded
 single-token form by at most ``edit_threshold`` deletions maps to that
 form, so a query looks up its own deletions and checks only the forms
 they hit with the capped ``levenshtein``.  Index and query make their
-neighbourhoods alike, deleting positions in increasing order so that
-each set of positions is made once: at depth 2 a word of length L gives
-1 + L + L(L-1)/2 strings.  A query meets the index in one set
-intersection, then makes one check per hit, instead of one check per
-form of the language.  One pass builds a language's exact and delete
-indexes, and a table holds one (language, threshold)'s at a time, so
-memory stays at one language's however many are searched; a caller that
-alternates languages rebuilds them at each switch, so search one language
-after another.  Fuzzy matches stay memoized for every language searched.
+neighbourhoods alike, from ``itertools.combinations`` of the positions
+kept: at depth 2 a word of length L gives at most 1 + L + L(L-1)/2
+strings.  A query meets the index in one set intersection, then makes
+one check per hit, instead of one check per form of the language.  One
+pass builds a language's exact and delete indexes, and a table holds one
+(language, threshold)'s at a time, so memory stays at one language's
+however many are searched; a caller that alternates languages rebuilds
+them at each switch, so search one language after another.  Fuzzy matches stay memoized for every language searched.
 Decoding is deliberately forgiving because model output is untrusted:
 placeholders without a dictionary entry are dropped and counted rather
 than raised on.
@@ -28,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -120,21 +120,14 @@ class LexiconTable:
 
 
 def _deletions(word: str, depth: int) -> set[str]:
-    """``word`` and every string reachable from it by at most ``depth`` deletions.
+    """``word`` and every string left after deleting at most ``depth`` of its positions.
 
-    Each set of deleted positions is made once: a variant deletes only at
-    or after the position of its own last deletion, so the positions of
-    ``word`` go in increasing order.
+    ``combinations`` keeps each set of len(word) - k positions once, in
+    order, for k = 1..min(depth, len(word)).
     """
     found = {word}
-    # (variant, first position it may delete)
-    frontier = [(word, 0)]
-    for level in range(depth):
-        variants = [v[:i] + v[i + 1 :] for v, start in frontier for i in range(start, len(v))]
-        found.update(variants)
-        if level + 1 < depth:
-            starts = [i for v, start in frontier for i in range(start, len(v))]
-            frontier = list(zip(variants, starts))
+    for k in range(1, min(depth, len(word)) + 1):
+        found.update(map("".join, combinations(word, len(word) - k)))
     return found
 
 
@@ -196,16 +189,17 @@ def find_mentions(
     token shares with it a string reachable from both by at most d
     deletions, so only forms under one of the token's deletions in
     ``LexiconTable.index``'s delete index are checked with ``levenshtein``.
-    A query of length L makes 1 + L + L(L-1)/2 deletions at cap 2 (1 + L
-    at cap 1), meets the index's keys with one set intersection and
-    checks each form under the keys it shares.  A language's first line
-    builds its exact and delete indexes (at most 1 + L + L(L-1)/2 keys
-    per form of length L at threshold 2) in place of the ones the table
-    held.  Fuzzy results are memoized per (language, threshold), across
-    switches of language, so each distinct token is searched once
-    however often it recurs.
+    A query of length L makes at most 1 + L + L(L-1)/2 deletions at cap 2
+    (1 + L at cap 1), meets the index's keys with one set intersection
+    and checks each form under the keys it shares.  Each call fetches the
+    language's indexes from the table once, for all its tokens; a
+    language's first line builds its exact and delete indexes (at most
+    1 + L + L(L-1)/2 keys per form of length L at threshold 2) in place
+    of the ones the table held.  Fuzzy results are memoized per
+    (language, threshold), across switches of language, so each distinct
+    token is searched once however often it recurs.
     """
-    exact, _, fuzzy = table.index(language, edit_threshold)
+    exact, deletes, fuzzy = table.index(language, edit_threshold)
     mentions: list[Mention] = []
     pos = 0
     n = len(tokens)
@@ -221,7 +215,7 @@ def find_mentions(
             if token in fuzzy:
                 entity_id = fuzzy[token]
             else:
-                entity_id = fuzzy[token] = _fuzzy_entity(token, language, table, edit_threshold)
+                entity_id = fuzzy[token] = _fuzzy_entity(token, deletes, edit_threshold)
             if entity_id is not None:
                 matched = Mention(pos, pos + 1, entity_id, tokens[pos])
         if matched is not None:
@@ -232,12 +226,9 @@ def find_mentions(
     return mentions
 
 
-def _fuzzy_entity(
-    token: str, language: str, table: LexiconTable, edit_threshold: int
-) -> str | None:
+def _fuzzy_entity(token: str, deletes: dict, edit_threshold: int) -> str | None:
     cap = min(edit_threshold, math.ceil(len(token) / 3))
     token_cf = token.casefold()
-    _, deletes, _ = table.index(language, edit_threshold)
     hits = {hit for key in deletes.keys() & _deletions(token_cf, cap) for hit in deletes[key]}
     # (distance, entity id, form) is a total key, so the order of the checks is moot
     keys = (

@@ -499,9 +499,10 @@ class TestFuzzyIndex:
         calls = Counter()
         fuzzy_entity = lowresmt.lexicon._fuzzy_entity
 
-        def counting(token, language, *args):
+        def counting(token, *args):
+            # `language` is the loop variable below: the running find_mentions call's
             calls[language, token] += 1
-            return fuzzy_entity(token, language, *args)
+            return fuzzy_entity(token, *args)
 
         monkeypatch.setattr(lowresmt.lexicon, "_fuzzy_entity", counting)
         table = LexiconTable({"e1": {"en": ["Andika"], "de": ["Andiko"]}})
@@ -514,6 +515,25 @@ class TestFuzzyIndex:
         assert calls == {
             ("en", "Andiko"): 1, ("en", "calls"): 1, ("de", "Andika"): 1, ("de", "calls"): 1,
         }
+
+    def test_find_mentions_fetches_the_index_once_per_call(self, monkeypatch):
+        fetches = []
+        index = LexiconTable.index
+
+        def counting(self, language, edit_threshold):
+            fetches.append(language)
+            return index(self, language, edit_threshold)
+
+        monkeypatch.setattr(LexiconTable, "index", counting)
+        table = LexiconTable({"e1": {"en": ["Andika"]}, "e2": {"en": ["Yohana"]}})
+        # every token is new and goes to the fuzzy search
+        lines = [["Andiko", "calls", "Yohane"], ["Andiku", "sees", "Yohanna", "there"]]
+        found = [find_mentions(tokens, "en", table, 2) for tokens in lines]
+        assert found == [
+            [Mention(0, 1, "e1", "Andiko"), Mention(2, 3, "e2", "Yohane")],
+            [Mention(0, 1, "e1", "Andiku"), Mention(2, 3, "e2", "Yohanna")],
+        ]
+        assert fetches == ["en", "en"]
 
     def test_alternating_languages_finds_what_a_scan_finds(self):
         # each new token in the other language rebuilds that language's index
