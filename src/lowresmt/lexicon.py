@@ -17,7 +17,8 @@ one check per hit, instead of one check per form of the language.  One
 pass builds a language's exact and delete indexes, and a table holds one
 (language, threshold)'s at a time, so memory stays at one language's
 however many are searched; a caller that alternates languages rebuilds
-them at each switch, so search one language after another.  Fuzzy matches stay memoized for every language searched.
+them at each switch, so search one language after another.  Fuzzy
+matches stay memoized for every language searched.
 Decoding is deliberately forgiving because model output is untrusted:
 placeholders without a dictionary entry are dropped and counted rather
 than raised on.
