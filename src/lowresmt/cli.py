@@ -16,8 +16,15 @@ from . import align as align_mod
 from . import combine as combine_mod
 from .bleu import corpus_bleu
 from .corpus import bitext, load_candidates, load_text, read_rows, same_ids, save_text, write_lines
-from .datagen import find_view_mentions, render_sources
-from .lexicon import LexiconTable, absent_languages, build_target_dictionary, detag, load_lexicon
+from .datagen import tag_text
+from .lexicon import (
+    LexiconTable,
+    absent_languages,
+    build_target_dictionary,
+    detag,
+    load_lexicon,
+    placeholder,
+)
 from .pipeline import PipelineConfig, run_pipeline, verify_output
 from .rank import rank_languages, write_ranking, write_skips
 
@@ -81,22 +88,27 @@ def _cmd_tag(args) -> int:
     text = load_text(args.input, args.language)
     _warn_if_absent(table, args.language, "every line is written untagged")
     # the pipeline's own search and rendering, so a template is a stage file's source side
-    mentions = find_view_mentions({args.language: text}, table, args.edit_threshold)
-    found = mentions[args.language]
+    tagged = tag_text(text, table, args.edit_threshold)
     template_rows = []
     dict_rows = []
-    for lid, (template, binding) in zip(text.lines, render_sources(text, mentions, text.lines)):
-        template_rows.append(f"{lid}\t{' '.join(template)}")
+    mentions = 0
+    for lid, template in tagged.joined.items():
+        template_rows.append(f"{lid}\t{template}")
+        found = tagged.mentions[lid]
+        mentions += len(found)
+        # each entity's first surface, in first-mention order: the placeholder order
         surfaces: dict[str, str] = {}
-        for mention in found[lid]:
+        for mention in found:
             surfaces.setdefault(mention.entity_id, mention.surface)
-        # a binding lists its entities in placeholder order
-        for entity_id, name in binding.items():
-            dict_rows.append(f"{lid}\t{name}\t{entity_id}\t{surfaces[entity_id]}")
+        for index, (entity_id, surface) in enumerate(surfaces.items()):
+            dict_rows.append(f"{lid}\t{placeholder(index)}\t{entity_id}\t{surface}")
     write_lines(args.output, template_rows)
     if args.dicts:
         write_lines(args.dicts, dict_rows)
-    log.info("tagged %d lines, %d entity mentions", len(text.lines), len(dict_rows))
+    log.info(
+        "tagged %d lines: %d entity mentions, %d dictionary rows",
+        len(text.lines), mentions, len(dict_rows),
+    )
     return 0
 
 

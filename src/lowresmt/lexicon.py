@@ -18,7 +18,8 @@ pass builds a language's exact and delete indexes, and a table holds one
 (language, threshold)'s at a time, so memory stays at one language's
 however many are searched; a caller that alternates languages rebuilds
 them at each switch, so search one language after another.  Fuzzy
-matches stay memoized for every language searched.
+matches stay memoized for every language searched, and so do the tokens
+known to start no mention, which a scan skips.
 Decoding is deliberately forgiving because model output is untrusted:
 placeholders without a dictionary entry are dropped and counted rather
 than raised on.
@@ -82,23 +83,35 @@ class LexiconTable:
     def __init__(self, entities: dict[str, dict[str, list[str]]]):
         self.entities = entities
         self._index_key: tuple[str, int] | None = None
-        self._index: tuple[dict, dict, dict] | None = None
+        self._index: tuple[dict, dict, dict, set] | None = None
         # (language, edit threshold) -> token -> fuzzy match, kept for every key searched
         self._fuzzy_cache: dict[tuple[str, int], dict[str, str | None]] = {}
+        # (language, edit threshold) -> tokens that start no mention, kept likewise
+        self._plain_cache: dict[tuple[str, int], set[str]] = {}
 
     def forms(self, entity_id: str, language: str) -> list[str]:
         return self.entities.get(entity_id, {}).get(language, [])
 
-    def index(self, language: str, edit_threshold: int) -> tuple[dict, dict, dict]:
-        """One language's exact index, delete index and fuzzy memo, built in one pass.
+    def for_language(self, language: str) -> "LexiconTable":
+        """A table of ``language``'s forms alone, which searches it as this one does."""
+        return LexiconTable({
+            entity_id: {language: by_language[language]}
+            for entity_id, by_language in self.entities.items()
+            if language in by_language
+        })
+
+    def index(self, language: str, edit_threshold: int) -> tuple[dict, dict, dict, set]:
+        """One language's exact index, delete index, fuzzy memo and plain set, in one pass.
 
         Exact: first token -> (form tokens, entity id), longest form first,
         then by entity id.  Delete: each string reachable from a casefolded
         single-token form by at most ``edit_threshold`` deletions -> the
         (casefolded form, form, entity id) of the forms that reach it;
-        empty at threshold 0, which never queries it.  The table holds one
-        (language, threshold)'s indexes at a time, dropping the held ones
-        before it builds others; the memo of every key asked for is kept.
+        empty at threshold 0, which never queries it.  Plain: the tokens
+        ``find_mentions`` has found to start no mention.  The table holds
+        one (language, threshold)'s indexes at a time, dropping the held
+        ones before it builds others; the memo and the plain set of every
+        key asked for are kept.
         """
         key = (language, edit_threshold)
         if self._index_key != key:
@@ -115,7 +128,12 @@ class LexiconTable:
                             deletes.setdefault(variant, []).append(entry)
             for candidates in exact.values():
                 candidates.sort(key=lambda item: (-len(item[0]), item[1], item[0]))
-            self._index = (exact, deletes, self._fuzzy_cache.setdefault(key, {}))
+            self._index = (
+                exact,
+                deletes,
+                self._fuzzy_cache.setdefault(key, {}),
+                self._plain_cache.setdefault(key, set()),
+            )
             self._index_key = key
         return self._index
 
@@ -171,6 +189,10 @@ class Mention:
     entity_id: str
     surface: str
 
+    def __reduce__(self):
+        # the fields as arguments pickle in about half the time of slot state
+        return Mention, (self.start, self.end, self.entity_id, self.surface)
+
 
 TargetDictionary = dict[str, str]
 
@@ -199,26 +221,44 @@ def find_mentions(
     of the ones the table held.  Fuzzy results are memoized per
     (language, threshold), across switches of language, so each distinct
     token is searched once however often it recurs.
+
+    A token that is the first token of no form can start a mention only
+    fuzzily.  Once its fuzzy search finds nothing (at threshold 0, at
+    once), it can start none in any line, so it joins the (language,
+    threshold)'s plain set, kept as the memo is.  A line made only of
+    plain tokens costs one ``issuperset``, and other lines step over
+    them.  A form's first token never joins the set: whether it starts a
+    mention depends on the tokens after it.
     """
-    exact, deletes, fuzzy = table.index(language, edit_threshold)
+    exact, deletes, fuzzy, plain = table.index(language, edit_threshold)
+    if plain.issuperset(tokens):
+        return []
     mentions: list[Mention] = []
     pos = 0
     n = len(tokens)
     while pos < n:
+        token = tokens[pos]
+        if token in plain:
+            pos += 1
+            continue
         matched = None
-        for form_tokens, entity_id in exact.get(tokens[pos], ()):
+        starts = exact.get(token, ())
+        for form_tokens, entity_id in starts:
             end = pos + len(form_tokens)
             if end <= n and tuple(tokens[pos:end]) == form_tokens:
                 matched = Mention(pos, end, entity_id, " ".join(tokens[pos:end]))
                 break
-        if matched is None and edit_threshold > 0:
-            token = tokens[pos]
-            if token in fuzzy:
-                entity_id = fuzzy[token]
-            else:
-                entity_id = fuzzy[token] = _fuzzy_entity(token, deletes, edit_threshold)
+        if matched is None:
+            entity_id = None
+            if edit_threshold > 0:
+                if token in fuzzy:
+                    entity_id = fuzzy[token]
+                else:
+                    entity_id = fuzzy[token] = _fuzzy_entity(token, deletes, edit_threshold)
             if entity_id is not None:
-                matched = Mention(pos, pos + 1, entity_id, tokens[pos])
+                matched = Mention(pos, pos + 1, entity_id, token)
+            elif not starts:
+                plain.add(token)
         if matched is not None:
             mentions.append(matched)
             pos = matched.end

@@ -15,15 +15,14 @@ from pathlib import Path
 
 from .corpus import ParallelText, SplitSpec, load_candidates, load_text, write_lines
 from .datagen import (
-    Mentions,
+    Tagged,
     build_vocab,
     check_language_code,
     direction_tag,
     emit_stage,
     file_sha256,
-    find_view_mentions,
-    render_sources,
     stage_splits,
+    tag_languages,
     unbound_surfaces,
     write_vocab,
 )
@@ -226,33 +225,27 @@ def resolve_family(
 
 
 def build_shared_vocab(
-    config: PipelineConfig,
-    corpora: dict[str, ParallelText],
-    family: FamilyOfChoice,
-    mentions: Mentions,
+    config: PipelineConfig, family: FamilyOfChoice, tagged: Tagged
 ) -> tuple[str, ...]:
     """One vocabulary for all stages, holding every token any stage writes.
 
-    Takes the family's and the target's corpora and their mentions;
-    returns ``build_vocab``'s token tuple.  Counts come from each line
-    rendered as a source side by ``render_sources``, the writer's own
-    rendering, one language at a time; that template holds every
-    placeholder the line's pairs write.  Reserved at count zero are the
-    direction tags, ``max_ne`` placeholders and the surfaces left on
-    target sides over stage 1 (the family) and stage 2 (family plus
+    Takes the family's and the target's ``TaggedText``s; returns
+    ``build_vocab``'s token tuple.  Counts are the sum of their token
+    ``Counter``s: each line rendered once as its own source side, the
+    writer's own source side, which holds every placeholder the line's
+    pairs write.  Nothing is rendered again here.  Reserved at count zero
+    are the direction tags, ``max_ne`` placeholders and the surfaces left
+    on target sides over stage 1 (the family) and stage 2 (family plus
     target, whose pairs include stage 3's).
     """
     languages = [*family.members, config.target]
     tags = [direction_tag(a, b) for a in languages for b in languages if a != b]
-    templates = (
-        template
-        for lang in languages
-        for template, _ in render_sources(corpora[lang], mentions, corpora[lang].lines)
-    )
+    mentions = {lang: tagged[lang].mentions for lang in languages}
     unbound = unbound_surfaces(family.members, mentions) | unbound_surfaces(languages, mentions)
     tag_tokens = [token for tag in tags for token in tag.split()]
     placeholders = [placeholder(index) for index in range(config.max_ne)]
-    return build_vocab(templates, [*tag_tokens, *placeholders, *unbound])
+    counts = (tagged[lang].counts for lang in languages)
+    return build_vocab(counts, [*tag_tokens, *placeholders, *unbound])
 
 
 def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) -> dict:
@@ -270,9 +263,12 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     member lacking a target id and an empty split fail before mention
     search, ``vocab.txt`` or any stage file.  Stage 1 keeps the ids the
     whole family shares and logs one warning naming each member that
-    loses lines, and how many.  Each stage is written from the loaded
-    corpora by its planned ids, which the writer trusts.  Only the
-    target's, the candidates' and the family's corpora are loaded.
+    loses lines, and how many.  Then each language of the family and the
+    target is searched, rendered and counted once (``tag_languages``, on
+    ``config.workers`` processes).  Each stage is written from those
+    results and the loaded corpora by its planned ids, which the writer
+    trusts.  Only the target's, the candidates' and the family's corpora
+    are loaded.
 
     Returns the manifest written to out_dir/manifest.json.  The manifest
     carries no timestamps or absolute paths, so reruns are comparable
@@ -327,9 +323,9 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
                 shared, ", ".join(f"{lang} {count}" for lang, count in lost.items() if count),
             )
 
-    mentions = find_view_mentions(corpora, table, config.edit_threshold)
+    tagged = tag_languages(corpora, table, config.edit_threshold, config.workers)
     del table
-    vocab = build_shared_vocab(config, corpora, family, mentions)
+    vocab = build_shared_vocab(config, family, tagged)
     vocab_sha256 = write_vocab(vocab, config.out_dir / "vocab.txt")
 
     manifest: dict = {
@@ -351,7 +347,7 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         log.info("emitting stage %d", stage)
         out_dir = config.out_dir / f"stage{stage}"
         manifest["stages"][f"stage{stage}"] = emit_stage(
-            stage, family.members, config.target, corpora, splits, out_dir, mentions=mentions
+            stage, family.members, config.target, corpora, splits, out_dir, tagged=tagged
         )
     write_lines(
         config.out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)]

@@ -19,8 +19,8 @@ from lowresmt.align import (
 from lowresmt.bleu import MAX_ORDER, _ngram_counts, _shared_matches, brevity_penalty
 from lowresmt.combine import CentroidChoice
 from lowresmt.corpus import ParallelText, read_rows
-from lowresmt.datagen import find_view_mentions, render_sources
-from lowresmt.lexicon import LexiconTable, bind, render_template
+from lowresmt.datagen import _split_lines, tag_languages, tag_text
+from lowresmt.lexicon import LexiconTable, Mention, bind, placeholder, render_template
 from lowresmt.synth import make_vocab
 
 FILLER_ALPHABET = "abcdefghijklm"
@@ -74,13 +74,91 @@ def tag_line(tokens, language, table, edit_threshold=2):
     The dictionary maps each placeholder, in order, to its entity id and
     the entity's first matched surface.
     """
-    text = ParallelText(language, {"0": tuple(tokens)})
-    mentions = find_view_mentions({language: text}, table, edit_threshold)
-    [(template, binding)] = render_sources(text, mentions, ["0"])
+    tagged = tag_text(ParallelText(language, {"0": tuple(tokens)}), table, edit_threshold)
     surfaces = {}
-    for mention in mentions[language]["0"]:
+    for mention in tagged.mentions["0"]:
         surfaces.setdefault(mention.entity_id, mention.surface)
-    return template, {name: (entity_id, surfaces[entity_id]) for entity_id, name in binding.items()}
+    entities = tagged.entities.get("0", ())
+    return (
+        tuple(tagged.joined["0"].split()),
+        {placeholder(index): (entity_id, surfaces[entity_id])
+         for index, entity_id in enumerate(entities)},
+    )
+
+
+def tag_view(view, table=None, edit_threshold=2):
+    """Every text of ``view`` as a pipeline run tags it: the writer's ``tagged`` input."""
+    return tag_languages(view, table, edit_threshold)
+
+
+def view_mentions(tagged):
+    """Language -> line id -> mentions, from ``tag_view``'s result, as the oracles read them."""
+    return {language: text.mentions for language, text in tagged.items()}
+
+
+def rendered_lines(tagged_text, ids):
+    """One language's lines over ``ids`` as the writer reads them: joined, and entity ids."""
+    return _split_lines(tagged_text, ids)
+
+
+def oracle_levenshtein(a, b):
+    """Brute-force full-matrix dynamic programming, kept independent."""
+    rows = len(a) + 1
+    cols = len(b) + 1
+    table = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        table[i][0] = i
+    for j in range(cols):
+        table[0][j] = j
+    for i in range(1, rows):
+        for j in range(1, cols):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            table[i][j] = min(
+                table[i - 1][j] + 1, table[i][j - 1] + 1, table[i - 1][j - 1] + cost
+            )
+    return table[-1][-1]
+
+
+def oracle_find_mentions(tokens, language, table, edit_threshold):
+    """``find_mentions`` by scanning every form at every position, kept independent.
+
+    The longest exact match wins (ties by entity id, then form); else the
+    single-token form with the least (distance, entity id, form) within
+    min(edit_threshold, ceil(len/3)), compared casefolded.
+    """
+    forms = [
+        (tuple(form.split()), form, entity_id)
+        for entity_id in sorted(table.entities)
+        for form in table.forms(entity_id, language)
+    ]
+    mentions = []
+    pos = 0
+    while pos < len(tokens):
+        exact = [
+            (-len(parts), entity_id, parts)
+            for parts, _, entity_id in forms
+            if tuple(tokens[pos : pos + len(parts)]) == parts
+        ]
+        matched = None
+        if exact:
+            _, entity_id, parts = min(exact)
+            matched = Mention(pos, pos + len(parts), entity_id, " ".join(parts))
+        elif edit_threshold > 0:
+            cap = min(edit_threshold, -(-len(tokens[pos]) // 3))
+            near = [
+                (oracle_levenshtein(tokens[pos].casefold(), form.casefold()), entity_id, form)
+                for parts, form, entity_id in forms
+                if len(parts) == 1
+            ]
+            near = [key for key in near if key[0] <= cap]
+            if cap > 0 and near:
+                matched = Mention(pos, pos + 1, min(near)[1], tokens[pos])
+        if matched is None:
+            pos += 1
+        else:
+            mentions.append(matched)
+            pos = matched.end
+    return mentions
 
 
 def oracle_pair_templates(source_tokens, source_mentions, target_tokens, target_mentions):

@@ -9,13 +9,13 @@ import random
 import time
 from pathlib import Path
 
-from helpers import make_entity_table, make_filler_words, tag_line
+from helpers import make_entity_table, make_filler_words, tag_line, tag_view
 from lowresmt.align import collect_statistics, train_alignment
 from lowresmt.bleu import LogRows, corpus_bleu
 from lowresmt.cli import main
 from lowresmt.combine import select_center
 from lowresmt.corpus import ParallelText
-from lowresmt.datagen import emit_complete, emit_star, file_sha256, find_view_mentions
+from lowresmt.datagen import emit_complete, emit_star, file_sha256
 from lowresmt.lexicon import LexiconTable, build_target_dictionary, detag
 from lowresmt.rank import famd_score, famp_score, rank_languages
 from lowresmt.synth import noised_copy, random_text, renamed_copy, shuffled_copy
@@ -158,21 +158,21 @@ def test_dataset_counts():
         for n in (1, 10, 1038):
             languages, view = make_view(k, n)
             ids = list(view[languages[0]].lines)
-            mentions = find_view_mentions(view, None)
+            tagged = tag_view(view)
             import tempfile
 
             with tempfile.TemporaryDirectory() as tmp:
                 complete_first = emit_complete(
-                    languages, view, ids, Path(tmp) / "a", "train", mentions=mentions
+                    languages, view, ids, Path(tmp) / "a", "train", tagged=tagged
                 )["examples"]
-                emit_complete(languages, view, ids, Path(tmp) / "b", "train", mentions=mentions)
+                emit_complete(languages, view, ids, Path(tmp) / "b", "train", tagged=tagged)
                 star_first = emit_star(
                     languages[:-1], languages[-1], view, ids, Path(tmp) / "c", "train",
-                    mentions=mentions,
+                    tagged=tagged,
                 )["examples"]
                 emit_star(
                     languages[:-1], languages[-1], view, ids, Path(tmp) / "d", "train",
-                    mentions=mentions,
+                    tagged=tagged,
                 )
                 identical = file_sha256(Path(tmp) / "a" / "train.src") == file_sha256(
                     Path(tmp) / "b" / "train.src"

@@ -334,6 +334,19 @@ class TestTagDetag:
         assert dicts == (FIXTURES / "e2e_tag_lrx_variants_dicts.tsv").read_bytes()
         assert b"TnusvnqzLrx" in tagged and b"e019" not in dicts
 
+    def test_tag_logs_mentions_and_dictionary_rows_apart(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO)
+        tag_fixture_lrx(tmp_path, FIXTURES / "e2e_lexicon_variants.tsv")
+        assert "tagged 60 lines: 48 entity mentions, 48 dictionary rows" in caplog.text
+        # a line mentioning one entity twice holds one dictionary row for both
+        lexicon = write(tmp_path / "lex.tsv", "e1\ten\tYi\n")
+        corpus = write(tmp_path / "in.txt", "L1\tYi calls Yi again\n")
+        assert main([
+            "tag", "--input", str(corpus), "--language", "en", "--lexicon", str(lexicon),
+            "--output", str(tmp_path / "tagged.txt"),
+        ]) == 0
+        assert "tagged 1 lines: 2 entity mentions, 1 dictionary rows" in caplog.text
+
     def test_tag_warns_once_for_a_language_the_lexicon_lacks(self, tmp_path, caplog):
         lexicon = write(tmp_path / "lex.tsv", "e1\ten\tYi\ne1\tde\tJi\n")
         corpus = write(tmp_path / "in.txt", "L1\tYi calls Ji\nL2\tJi again\n")

@@ -7,20 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowresmt.datagen
-from helpers import oracle_split_bytes
+from helpers import oracle_split_bytes, rendered_lines, tag_view, view_mentions
 from lowresmt.corpus import ParallelText, SplitSpec, restrict
 from lowresmt.datagen import (
-    _render_lines,
     build_vocab,
     direction_tag,
     emit_complete,
     emit_star,
     emit_stage,
     file_sha256,
-    find_view_mentions,
     pair_templates,
     stage_splits,
     symmetrize,
+    tag_languages,
 )
 from lowresmt.lexicon import LexiconTable, placeholder
 
@@ -50,8 +49,8 @@ class TestDirectionTag:
 class TestEmitComplete:
     def test_count_formula(self, tmp_path):
         languages, view = make_view(3, 10)
-        mentions = find_view_mentions(view, None)
-        entry = emit_complete(languages, view, ids_of(view), tmp_path, "train", mentions=mentions)
+        tagged = tag_view(view)
+        entry = emit_complete(languages, view, ids_of(view), tmp_path, "train", tagged=tagged)
         assert entry["examples"] == 3 * 2 * 10
         assert len((tmp_path / "train.src").read_text().splitlines()) == 60
         assert len((tmp_path / "train.tgt").read_text().splitlines()) == 60
@@ -65,24 +64,24 @@ class TestEmitComplete:
 
     def test_two_languages_gives_both_directions(self, tmp_path):
         languages, view = make_view(2, 1)
-        mentions = find_view_mentions(view, None)
-        emit_complete(languages, view, ids_of(view), tmp_path, "train", mentions=mentions)
+        tagged = tag_view(view)
+        emit_complete(languages, view, ids_of(view), tmp_path, "train", tagged=tagged)
         src = (tmp_path / "train.src").read_text().splitlines()
         assert src[0].startswith("__opt_src_l0 __opt_tgt_l1 ")
         assert src[1].startswith("__opt_src_l1 __opt_tgt_l0 ")
 
     def test_stage_two_shape(self, tmp_path):
         languages, view = make_view(11, 3)
-        mentions = find_view_mentions(view, None)
+        tagged = tag_view(view)
         count = emit_complete(
-            languages, view, ids_of(view), tmp_path, "train", mentions=mentions
+            languages, view, ids_of(view), tmp_path, "train", tagged=tagged
         )["examples"]
         assert count == 11 * 10 * 3
 
     def test_every_source_line_carries_a_wellformed_tag(self, tmp_path):
         languages, view = make_view(3, 4)
-        mentions = find_view_mentions(view, None)
-        emit_complete(languages, view, ids_of(view), tmp_path, "train", mentions=mentions)
+        tagged = tag_view(view)
+        emit_complete(languages, view, ids_of(view), tmp_path, "train", tagged=tagged)
         for row in (tmp_path / "train.src").read_text().splitlines():
             first, second, *_ = row.split(" ")
             assert first.startswith("__opt_src_")
@@ -92,9 +91,9 @@ class TestEmitComplete:
 
     def test_byte_identical_across_runs(self, tmp_path):
         languages, view = make_view(3, 25)
-        mentions = find_view_mentions(view, None)
-        emit_complete(languages, view, ids_of(view), tmp_path / "a", "train", mentions=mentions)
-        emit_complete(languages, view, ids_of(view), tmp_path / "b", "train", mentions=mentions)
+        tagged = tag_view(view)
+        emit_complete(languages, view, ids_of(view), tmp_path / "a", "train", tagged=tagged)
+        emit_complete(languages, view, ids_of(view), tmp_path / "b", "train", tagged=tagged)
         for name in ("train.src", "train.tgt"):
             assert file_sha256(tmp_path / "a" / name) == file_sha256(tmp_path / "b" / name)
 
@@ -102,17 +101,17 @@ class TestEmitComplete:
 class TestEmitStar:
     def test_count_is_linear(self, tmp_path):
         languages, view = make_view(11, 1038)
-        mentions = find_view_mentions(view, None)
+        tagged = tag_view(view)
         count = emit_star(
-            languages[:10], languages[10], view, ids_of(view), tmp_path, "train", mentions=mentions
+            languages[:10], languages[10], view, ids_of(view), tmp_path, "train", tagged=tagged
         )["examples"]
         assert count == 10 * 1038
 
     def test_single_source_is_plain_tagged_bitext(self, tmp_path):
         languages, view = make_view(2, 3)
-        mentions = find_view_mentions(view, None)
+        tagged = tag_view(view)
         count = emit_star(
-            ["l0"], "l1", view, ids_of(view), tmp_path, "train", mentions=mentions
+            ["l0"], "l1", view, ids_of(view), tmp_path, "train", tagged=tagged
         )["examples"]
         assert count == 3
         src = (tmp_path / "train.src").read_text().splitlines()
@@ -144,11 +143,11 @@ class TestSymmetrize:
 
 
 def emit_either(configuration, languages, texts, ids, out_dir):
-    mentions = find_view_mentions(texts, None)
+    tagged = tag_view(texts)
     if configuration == "complete":
-        return emit_complete(languages, texts, ids, out_dir, "train", mentions=mentions)
+        return emit_complete(languages, texts, ids, out_dir, "train", tagged=tagged)
     return emit_star(
-        languages[:-1], languages[-1], texts, ids, out_dir, "train", mentions=mentions
+        languages[:-1], languages[-1], texts, ids, out_dir, "train", tagged=tagged
     )
 
 
@@ -205,16 +204,16 @@ class TestEmitStage:
         )
         return tuple(languages), corpora
 
-    def emit(self, stage, languages, corpora, tmp_path, mentions):
+    def emit(self, stage, languages, corpora, tmp_path, tagged):
         split = SplitSpec((("train", 0.8), ("val", 0.2)))
         splits = stage_splits(stage, languages, "low", corpora, split)
         out_dir = tmp_path / f"stage{stage}"
-        return emit_stage(stage, languages, "low", corpora, splits, out_dir, mentions=mentions)
+        return emit_stage(stage, languages, "low", corpora, splits, out_dir, tagged=tagged)
 
     def test_stage1_complete_over_family_excludes_low(self, tmp_path):
         languages, corpora = self.corpora()
-        mentions = find_view_mentions(corpora, None)
-        fragment = self.emit(1, languages, corpora, tmp_path, mentions)
+        tagged = tag_view(corpora)
+        fragment = self.emit(1, languages, corpora, tmp_path, tagged)
         assert fragment["configuration"] == "complete"
         assert fragment["languages"] == list(languages)
         assert fragment["splits"]["train"]["examples"] == 3 * 2 * 32
@@ -224,8 +223,8 @@ class TestEmitStage:
 
     def test_stage2_complete_includes_low_on_its_ids(self, tmp_path):
         languages, corpora = self.corpora()
-        mentions = find_view_mentions(corpora, None)
-        fragment = self.emit(2, languages, corpora, tmp_path, mentions)
+        tagged = tag_view(corpora)
+        fragment = self.emit(2, languages, corpora, tmp_path, tagged)
         assert fragment["languages"] == [*languages, "low"]
         # 4 languages over the 20 low-resource lines
         assert fragment["splits"]["train"]["examples"] == 4 * 3 * 16
@@ -233,8 +232,8 @@ class TestEmitStage:
 
     def test_stage3_star_into_low(self, tmp_path):
         languages, corpora = self.corpora()
-        mentions = find_view_mentions(corpora, None)
-        fragment = self.emit(3, languages, corpora, tmp_path, mentions)
+        tagged = tag_view(corpora)
+        fragment = self.emit(3, languages, corpora, tmp_path, tagged)
         assert fragment["configuration"] == "star"
         assert fragment["splits"]["train"]["examples"] == 3 * 16
         src = (tmp_path / "stage3" / "train.src").read_text().splitlines()
@@ -242,9 +241,9 @@ class TestEmitStage:
 
     def test_manifest_checksums_are_reproducible(self, tmp_path):
         languages, corpora = self.corpora()
-        mentions = find_view_mentions(corpora, None)
-        first = self.emit(2, languages, corpora, tmp_path / "a", mentions)
-        second = self.emit(2, languages, corpora, tmp_path / "b", mentions)
+        tagged = tag_view(corpora)
+        first = self.emit(2, languages, corpora, tmp_path / "a", tagged)
+        second = self.emit(2, languages, corpora, tmp_path / "b", tagged)
         assert (
             first["splits"]["train"]["src_sha256"]
             == second["splits"]["train"]["src_sha256"]
@@ -267,8 +266,8 @@ class TestEmitStage:
             "low": ParallelText("low", {"a": ("Zorblow", "talk")}),
         }
         splits = stage_splits(2, languages, "low", corpora, SplitSpec((("train", 1.0),)))
-        mentions = find_view_mentions(corpora, table)
-        emit_stage(2, languages, "low", corpora, splits, tmp_path, mentions=mentions)
+        tagged = tag_view(corpora, table)
+        emit_stage(2, languages, "low", corpora, splits, tmp_path, tagged=tagged)
         src = (tmp_path / "train.src").read_text().splitlines()
         tgt = (tmp_path / "train.tgt").read_text().splitlines()
         assert src[0] == "__opt_src_f0 __opt_tgt_f1 __NE0 speaks"
@@ -281,8 +280,8 @@ def test_a_line_without_mentions_maps_to_the_empty_tuple_with_or_without_a_table
         "f0": ParallelText("f0", {"a": ("Zorblat", "speaks"), "b": ("nobody", "here")}),
         "f1": ParallelText("f1", {"a": ("no", "one"), "b": ("Zorblatu",)}),
     }
-    tagged = find_view_mentions(view, table)
-    for found in (tagged, find_view_mentions(view, None)):
+    tagged = view_mentions(tag_view(view, table))
+    for found in (tagged, view_mentions(tag_view(view))):
         empty = [line for by_line in found.values() for line in by_line.values() if not line]
         assert empty and all(line == () for line in empty)
     (mention,) = tagged["f0"]["a"]
@@ -334,7 +333,7 @@ def tagged_texts(draw):
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_block_writer_matches_the_per_example_oracle(configuration, case, tagged):
     languages, texts, table, ids = case
-    mentions = find_view_mentions(texts, table if tagged else None)
+    tagged_view = tag_view(texts, table if tagged else None)
     if configuration == "complete":
         pairs = [(a, b) for a in languages for b in languages if a != b]
     else:
@@ -342,14 +341,14 @@ def test_block_writer_matches_the_per_example_oracle(configuration, case, tagged
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         if configuration == "complete":
-            entry = emit_complete(languages, texts, ids, out, "train", mentions=mentions)
+            entry = emit_complete(languages, texts, ids, out, "train", tagged=tagged_view)
         else:
             entry = emit_star(
-                languages[:-1], languages[-1], texts, ids, out, "train", mentions=mentions
+                languages[:-1], languages[-1], texts, ids, out, "train", tagged=tagged_view
             )
         written = ((out / "train.src").read_bytes(), (out / "train.tgt").read_bytes())
     view = {lang: restrict(text, ids) for lang, text in texts.items()}
-    assert written == oracle_split_bytes(pairs, view, mentions)
+    assert written == oracle_split_bytes(pairs, view, view_mentions(tagged_view))
     assert entry["examples"] == len(pairs) * len(ids)
 
 
@@ -368,8 +367,8 @@ def test_each_language_line_is_bound_once_per_split(monkeypatch, tmp_path):
         lang: ParallelText(lang, {f"i{j}": (f"Zorb{lang}", f"w{j}") for j in range(4)})
         for lang in languages
     }
-    mentions = find_view_mentions(view, table)
-    entry = emit_complete(languages, view, ids_of(view), tmp_path, "train", mentions=mentions)
+    tagged = tag_view(view, table)
+    entry = emit_complete(languages, view, ids_of(view), tmp_path, "train", tagged=tagged)
     assert entry["examples"] == 3 * 2 * 4
     assert len(calls) == 3 * 4
 
@@ -386,9 +385,9 @@ def test_pair_templates_renders_only_lines_the_source_binds_otherwise(
         "l0": ParallelText("l0", {"v0": ("Ax0", "calls", "Bx0")}),
         "l1": ParallelText("l1", {"v0": (f"{order[0]}x1", "calls", f"{order[1]}x1")}),
     }
-    mentions = find_view_mentions(view, table)
-    _, source_entities = _render_lines(view["l0"], mentions, ["v0"])
-    rendered = _render_lines(view["l1"], mentions, ["v0"])
+    tagged = tag_view(view, table)
+    _, source_entities = rendered_lines(tagged["l0"], ["v0"])
+    rendered = rendered_lines(tagged["l1"], ["v0"])
     calls = []
     render_template = lowresmt.datagen.render_template
 
@@ -397,7 +396,8 @@ def test_pair_templates_renders_only_lines_the_source_binds_otherwise(
         return render_template(*args)
 
     monkeypatch.setattr(lowresmt.datagen, "render_template", counting)
-    assert pair_templates(source_entities, view["l1"], rendered, mentions, ["v0"]) == [expected]
+    found = tagged["l1"].mentions
+    assert pair_templates(source_entities, view["l1"], rendered, found, ["v0"]) == [expected]
     assert len(calls) == renders
 
 
@@ -405,27 +405,76 @@ def test_pair_templates_renders_only_lines_the_source_binds_otherwise(
 def test_a_split_renders_each_language_once(monkeypatch, tmp_path, configuration):
     languages, view = make_view(4, 5)
     table = LexiconTable({"e": {lang: [f"{lang}w1b"] for lang in languages}})
-    mentions = find_view_mentions(view, table)
     calls = Counter()
-    render_sources = lowresmt.datagen.render_sources
+    renders = []
+    tag_text = lowresmt.datagen.tag_text
+    render_template = lowresmt.datagen.render_template
 
     def counting(text, *args):
         calls[text.language] += 1
-        return render_sources(text, *args)
+        return tag_text(text, *args)
 
-    monkeypatch.setattr(lowresmt.datagen, "render_sources", counting)
+    def rendering(*args):
+        renders.append(args)
+        return render_template(*args)
+
+    monkeypatch.setattr(lowresmt.datagen, "tag_text", counting)
+    monkeypatch.setattr(lowresmt.datagen, "render_template", rendering)
+    tagged = tag_view(view, table)
+    # each line with a mention is rendered once, when it is tagged
+    rendered = sum(len(text.entities) for text in tagged.values())
+    assert rendered and len(renders) == rendered
     if configuration == "complete":
-        emit_complete(languages, view, ids_of(view), tmp_path, "train", mentions=mentions)
+        emit_complete(languages, view, ids_of(view), tmp_path, "train", tagged=tagged)
     else:
         emit_star(
-            languages[:-1], languages[-1], view, ids_of(view), tmp_path, "train", mentions=mentions
+            languages[:-1], languages[-1], view, ids_of(view), tmp_path, "train", tagged=tagged
         )
     assert calls == Counter(languages)
+    # every line's entities are bound alike, so the writer renders none again
+    assert len(renders) == rendered
 
 
 def test_an_empty_split_writes_empty_files(tmp_path):
     view = {lang: ParallelText(lang, {}) for lang in ("l0", "l1")}
-    mentions = find_view_mentions(view, None)
-    entry = emit_complete(["l0", "l1"], view, [], tmp_path, "train", mentions=mentions)
+    tagged = tag_view(view)
+    entry = emit_complete(["l0", "l1"], view, [], tmp_path, "train", tagged=tagged)
     assert entry["examples"] == 0
     assert (tmp_path / "train.src").read_bytes() == (tmp_path / "train.tgt").read_bytes() == b""
+
+
+def test_tagging_pool_is_capped_by_languages_and_cpus_and_gets_one_language_each(monkeypatch):
+    sizes, languages_per_job = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, texts, tables, thresholds):
+            tables = list(tables)
+            languages_per_job.extend(
+                {lang for by_lang in table.entities.values() for lang in by_lang}
+                for table in tables
+            )
+            return map(fn, texts, tables, thresholds)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("lowresmt.datagen.os.cpu_count", lambda: 3)
+    languages, view = make_view(4, 5)
+    table = LexiconTable({"e": {lang: [f"{lang}w1b"] for lang in languages}})
+    serial = tag_languages(view, table)
+    assert sizes == []
+    assert tag_languages(view, table, workers=1000) == serial
+    assert sizes == [3]
+    assert languages_per_job == [{lang} for lang in languages]
+    tag_languages({lang: view[lang] for lang in languages[:2]}, table, workers=1000)
+    assert sizes == [3, 2]
+    monkeypatch.setattr("lowresmt.datagen.os.cpu_count", lambda: None)
+    tag_languages(view, table, workers=1000)
+    assert sizes == [3, 2]

@@ -10,9 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowresmt.lexicon
-from helpers import make_entity_table, make_filler_words, tag_line
+from helpers import (
+    make_entity_table,
+    make_filler_words,
+    oracle_find_mentions,
+    oracle_levenshtein,
+    rendered_lines,
+    tag_line,
+    tag_view,
+)
 from lowresmt.corpus import ParallelText
-from lowresmt.datagen import _render_lines, pair_templates
+from lowresmt.datagen import pair_templates
 from lowresmt.lexicon import (
     LexiconTable,
     Mention,
@@ -31,34 +39,15 @@ from lowresmt.lexicon import (
 
 def pair_sides(table, src, src_language, tgt, tgt_language):
     """The source and target side the stage writer emits for one line pair, untagged."""
-    source = ParallelText(src_language, {"0": tuple(src)})
     target = ParallelText(tgt_language, {"0": tuple(tgt)})
-    mentions = {
-        src_language: {"0": find_mentions(src, src_language, table)},
-        tgt_language: {"0": find_mentions(tgt, tgt_language, table)},
-    }
-    [src_line], src_entities = _render_lines(source, mentions, ["0"])
-    rendered = _render_lines(target, mentions, ["0"])
-    [tgt_line] = pair_templates(src_entities, target, rendered, mentions, ["0"])
+    view = {src_language: ParallelText(src_language, {"0": tuple(src)}), tgt_language: target}
+    tagged = tag_view(view, table)
+    [src_line], src_entities = rendered_lines(tagged[src_language], ["0"])
+    rendered = rendered_lines(tagged[tgt_language], ["0"])
+    [tgt_line] = pair_templates(
+        src_entities, target, rendered, tagged[tgt_language].mentions, ["0"]
+    )
     return src_line, tgt_line
-
-
-def oracle_levenshtein(a, b):
-    """Brute-force full-matrix dynamic programming, kept independent."""
-    rows = len(a) + 1
-    cols = len(b) + 1
-    table = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        table[i][0] = i
-    for j in range(cols):
-        table[0][j] = j
-    for i in range(1, rows):
-        for j in range(1, cols):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            table[i][j] = min(
-                table[i - 1][j] + 1, table[i][j - 1] + 1, table[i - 1][j - 1] + cost
-            )
-    return table[-1][-1]
 
 
 def oracle_render(tokens, mentions, binding):
@@ -403,48 +392,6 @@ class TestProperties:
                 assert capped == cap + 1
 
 
-def oracle_find_mentions(tokens, language, table, edit_threshold):
-    """``find_mentions`` by scanning every form at every position, kept independent.
-
-    The longest exact match wins (ties by entity id, then form); else the
-    single-token form with the least (distance, entity id, form) within
-    min(edit_threshold, ceil(len/3)), compared casefolded.
-    """
-    forms = [
-        (tuple(form.split()), form, entity_id)
-        for entity_id in sorted(table.entities)
-        for form in table.forms(entity_id, language)
-    ]
-    mentions = []
-    pos = 0
-    while pos < len(tokens):
-        exact = [
-            (-len(parts), entity_id, parts)
-            for parts, _, entity_id in forms
-            if tuple(tokens[pos : pos + len(parts)]) == parts
-        ]
-        matched = None
-        if exact:
-            _, entity_id, parts = min(exact)
-            matched = Mention(pos, pos + len(parts), entity_id, " ".join(parts))
-        elif edit_threshold > 0:
-            cap = min(edit_threshold, -(-len(tokens[pos]) // 3))
-            near = [
-                (oracle_levenshtein(tokens[pos].casefold(), form.casefold()), entity_id, form)
-                for parts, form, entity_id in forms
-                if len(parts) == 1
-            ]
-            near = [key for key in near if key[0] <= cap]
-            if cap > 0 and near:
-                matched = Mention(pos, pos + 1, min(near)[1], tokens[pos])
-        if matched is None:
-            pos += 1
-        else:
-            mentions.append(matched)
-            pos = matched.end
-    return mentions
-
-
 # "ß" casefolds to "ss" and "İ" to "i" plus a combining dot: both change length
 FUZZY_ALPHABET = "abisS\u00df\u0130\u0307"
 
@@ -465,6 +412,61 @@ def fuzzy_cases(draw):
     token = st.one_of(word, st.sampled_from(form_words))
     lines = draw(st.lists(st.lists(token, max_size=8), min_size=1, max_size=4))
     return LexiconTable(entities), lines, draw(st.integers(0, 3))
+
+
+@st.composite
+def search_runs(draw):
+    """A small lexicon, token lines and a run of searches over one table.
+
+    Some form of entity ``ez`` is two tokens, and its first token also
+    stands alone in a line before the line holding the whole form; other
+    lines reuse the forms' words.  The run alternates languages and
+    thresholds in a drawn order, then searches every line under every
+    language and threshold, so the memo and the plain set are warm.
+    """
+    word = st.text("abcdS", min_size=1, max_size=6)
+    form = st.lists(word, min_size=1, max_size=3).map(" ".join)
+    entities = draw(st.dictionaries(
+        st.sampled_from(["e0", "e1", "e2", "e3"]),
+        st.dictionaries(st.sampled_from(["x", "y"]), st.lists(form, min_size=1, max_size=3,
+                                                             unique=True), min_size=1),
+    ))
+    first, rest = draw(word), draw(word)
+    entities["ez"] = {draw(st.sampled_from(["x", "y"])): [f"{first} {rest}"]}
+    form_words = sorted({w for by_lang in entities.values() for forms in by_lang.values()
+                         for f in forms for w in f.split()})
+    token = st.one_of(word, st.sampled_from(form_words))
+    lines = draw(st.lists(st.lists(token, max_size=8), max_size=4))
+    lines += [[first], [first, rest]]
+    searches = draw(st.lists(st.tuples(
+        st.integers(0, len(lines) - 1), st.sampled_from(["x", "y"]), st.integers(0, 2)
+    ), max_size=12))
+    searches += [(index, language, threshold) for threshold in (0, 1, 2)
+                 for language in ("x", "y") for index in range(len(lines))]
+    return entities, lines, searches
+
+
+class TestPlainSet:
+    @given(case=search_runs())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_a_warm_table_finds_what_a_fresh_table_and_a_scan_find(self, case):
+        entities, lines, searches = case
+        warm = LexiconTable(entities)
+        for index, language, threshold in searches:
+            tokens = lines[index]
+            found = find_mentions(tokens, language, warm, threshold)
+            assert found == find_mentions(tokens, language, LexiconTable(entities), threshold)
+            assert found == oracle_find_mentions(tokens, language, warm, threshold)
+
+    def test_a_forms_first_token_never_joins_the_plain_set(self):
+        table = LexiconTable({"e1": {"en": ["Andika", "Yohana Mkubwa"]}})
+        assert find_mentions(["calls", "Yohana", "home"], "en", table, 2) == []
+        _, _, _, plain = table.index("en", 2)
+        # a form's first token never joins the set, however it fared
+        assert plain == {"calls", "home"}
+        assert find_mentions(["Yohana", "Mkubwa", "calls"], "en", table, 2) == [
+            Mention(0, 2, "e1", "Yohana Mkubwa")
+        ]
 
 
 class TestFuzzyIndex:

@@ -153,6 +153,44 @@ def test_one_mention_search_per_language_line(monkeypatch, tmp_path):
     assert dict(calls) == expected
 
 
+def test_each_language_is_searched_and_rendered_once_per_run(monkeypatch, tmp_path):
+    calls: Counter = Counter()
+    tag_text = lowresmt.datagen.tag_text
+
+    def counting(text, *args):
+        calls[text.language] += 1
+        return tag_text(text, *args)
+
+    monkeypatch.setattr(lowresmt.datagen, "tag_text", counting)
+    config = PipelineConfig.from_file(FIXTURE_DIR / "config.json", out_dir=tmp_path)
+    manifest = run_pipeline(config)
+    assert calls == Counter([*manifest["family"], config.target])
+
+
+def test_two_workers_write_what_one_writes(monkeypatch, tmp_path):
+    from concurrent.futures import ProcessPoolExecutor
+
+    pools = []
+
+    class RecordedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **options):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **options)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordedPool)
+    # ranking and tagging both fan out, even on a host with one CPU
+    monkeypatch.setattr("lowresmt.datagen.os.cpu_count", lambda: 2)
+    outputs = []
+    for workers in (1, 2):
+        config = PipelineConfig.from_file(
+            FIXTURE_DIR / "config.json", out_dir=tmp_path / str(workers), workers=workers
+        )
+        run_pipeline(config)
+        outputs.append(output_files(config.out_dir))
+    assert pools == [2, 2]
+    assert outputs[0] == outputs[1]
+
+
 def test_lexicon_table_is_freed_once_mentions_are_found(monkeypatch, tmp_path):
     tables = []
     load_lexicon = lowresmt.pipeline.load_lexicon

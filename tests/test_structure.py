@@ -12,10 +12,10 @@ Every comparison of line ids across texts goes through ``corpus.py``
 module may test ``in``/``not in`` against a ``.lines`` attribute, or
 compare ``list(...)`` or ``set(...)`` of one with ``==``/``!=``.
 
-Tagging has one path, the pipeline's: ``find_view_mentions`` is the only
-caller of ``find_mentions``, and ``datagen``'s source and target
-rendering are the only callers of ``render_template``, so ``tag``
-writes exactly the templates the stage files hold.
+Tagging has one path, the pipeline's: ``tag_text`` is the only caller
+of ``find_mentions``, and it and ``datagen``'s target rendering are the
+only callers of ``render_template``, so ``tag`` writes exactly the
+templates the stage files hold.
 
 Emission copies no text: stages are planned on line ids (``intersect``
 and ``split`` return id lists) and the writer reads each split's lines
@@ -131,10 +131,10 @@ def call_sites(name: str, package: Path = PACKAGE) -> list[tuple[str, str]]:
 
 
 def test_one_tagger_searches_and_renders():
-    assert call_sites("find_mentions") == [("datagen.py", "find_view_mentions")]
+    assert call_sites("find_mentions") == [("datagen.py", "tag_text")]
     assert sorted(call_sites("render_template")) == [
         ("datagen.py", "pair_templates"),
-        ("datagen.py", "render_sources"),
+        ("datagen.py", "tag_text"),
     ]
 
 
