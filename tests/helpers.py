@@ -19,7 +19,7 @@ from lowresmt.align import (
 from lowresmt.bleu import MAX_ORDER, _ngram_counts, _shared_matches, brevity_penalty
 from lowresmt.combine import CentroidChoice
 from lowresmt.corpus import ParallelText, read_rows
-from lowresmt.datagen import _split_lines, tag_languages, tag_text
+from lowresmt.datagen import tag_languages, tag_text
 from lowresmt.lexicon import LexiconTable, Mention, bind, placeholder, render_template
 from lowresmt.synth import make_vocab
 
@@ -94,11 +94,6 @@ def tag_view(view, table=None, edit_threshold=2):
 def view_mentions(tagged):
     """Language -> line id -> mentions, from ``tag_view``'s result, as the oracles read them."""
     return {language: text.mentions for language, text in tagged.items()}
-
-
-def rendered_lines(tagged_text, ids):
-    """One language's lines over ``ids`` as the writer reads them: joined, and entity ids."""
-    return _split_lines(tagged_text, ids)
 
 
 def oracle_levenshtein(a, b):

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowresmt.datagen
-from helpers import oracle_split_bytes, rendered_lines, tag_view, view_mentions
+from helpers import oracle_split_bytes, tag_view, view_mentions
 from lowresmt.corpus import ParallelText, SplitSpec, restrict
 from lowresmt.datagen import (
+    _split_lines,
     build_vocab,
     direction_tag,
     emit_complete,
@@ -386,8 +387,8 @@ def test_pair_templates_renders_only_lines_the_source_binds_otherwise(
         "l1": ParallelText("l1", {"v0": (f"{order[0]}x1", "calls", f"{order[1]}x1")}),
     }
     tagged = tag_view(view, table)
-    _, source_entities = rendered_lines(tagged["l0"], ["v0"])
-    rendered = rendered_lines(tagged["l1"], ["v0"])
+    _, source_entities = _split_lines(tagged["l0"], ["v0"])
+    rendered = _split_lines(tagged["l1"], ["v0"])
     calls = []
     render_template = lowresmt.datagen.render_template
 

@@ -15,12 +15,11 @@ from helpers import (
     make_filler_words,
     oracle_find_mentions,
     oracle_levenshtein,
-    rendered_lines,
     tag_line,
     tag_view,
 )
 from lowresmt.corpus import ParallelText
-from lowresmt.datagen import pair_templates
+from lowresmt.datagen import _split_lines, pair_templates
 from lowresmt.lexicon import (
     LexiconTable,
     Mention,
@@ -42,8 +41,8 @@ def pair_sides(table, src, src_language, tgt, tgt_language):
     target = ParallelText(tgt_language, {"0": tuple(tgt)})
     view = {src_language: ParallelText(src_language, {"0": tuple(src)}), tgt_language: target}
     tagged = tag_view(view, table)
-    [src_line], src_entities = rendered_lines(tagged[src_language], ["0"])
-    rendered = rendered_lines(tagged[tgt_language], ["0"])
+    [src_line], src_entities = _split_lines(tagged[src_language], ["0"])
+    rendered = _split_lines(tagged[tgt_language], ["0"])
     [tgt_line] = pair_templates(
         src_entities, target, rendered, tagged[tgt_language].mentions, ["0"]
     )
