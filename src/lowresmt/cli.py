@@ -94,7 +94,7 @@ def _cmd_tag(args) -> int:
     mentions = 0
     for lid, template in tagged.joined.items():
         template_rows.append(f"{lid}\t{template}")
-        found = tagged.mentions[lid]
+        found = tagged.mentions.get(lid, ())
         mentions += len(found)
         # each entity's first surface, in first-mention order: the placeholder order
         surfaces: dict[str, str] = {}

@@ -8,9 +8,9 @@ Stage 3 keeps the symmetric subset but emits a star graph: every family
 member into the low-resource language only.
 
 ``stage_splits`` plans each split's line ids and checks the stage's data;
-the writer (``emit_stage``, ``emit_complete``, ``emit_star``) takes the
-tagged texts, the loaded texts and that plan, reads each split's lines by
-its planned ids, in their order, and checks nothing again.
+the writer (``emit_stage``, ``emit_complete``, ``emit_star``) takes only
+the tagged texts and that plan, reads each split's lines by its planned
+ids, in their order, and checks nothing again.
 
 Every emitted source line starts with a direction tag pair
 ``__opt_src_<src> __opt_tgt_<tgt>`` and is entity-tagged first, so
@@ -22,29 +22,31 @@ byte-deterministic: two runs over the same inputs produce identical
 files, which the manifest checksums pin down.
 
 Each language of a run is searched, rendered and counted once
-(``tag_text``), and every line is kept joined, with the entity ids of a
-line with mentions in first-mention order.  A split reads its
-languages' lines from there by id.  A source side is that string; a
-target side (``pair_templates``) is its own string wherever its entity
-ids are a prefix of the source line's, since the source then binds every
-target entity to the same placeholder, and is rendered once under the
-source's binding otherwise.  A line therefore costs one rendering per
-run, plus one per example whose two sides order their shared entities
-differently.  Each pair reaches each of the split's two files as one
-block write through ``corpus.open_output``: the files reach their final
-names only when complete, and their checksums are those of the bytes as
-written, so no file is read back.
+(``tag_text``) into one ``TaggedText``: its loaded text, every line
+joined, and the mentions and entity ids (in first-mention order) of each
+line that holds a mention.  A split reads its languages' lines from
+there by id.  A source side is that string; a target side
+(``pair_templates``) is its own string wherever its entity ids are a
+prefix of the source line's, since the source then binds every target
+entity to the same placeholder, and is rendered once from the target's
+own tokens and mentions under the source's binding otherwise.  A line
+therefore costs one rendering per run, plus one per example whose two
+sides order their shared entities differently.  Each pair reaches each
+of the split's two files as one block write through
+``corpus.open_output``: the files reach their final names only when
+complete, and their checksums are those of the bytes as written, so no
+file is read back.
 
-Memory: a run holds every language's joined lines from tagging to its
-last stage, beside the loaded texts and their mentions, and the writer
-one pair's block at a time.  A ``pipeline`` run on
+Memory: a run holds every language's loaded text and joined lines from
+tagging to its last stage, the mentions of each line that holds one,
+and the writer one pair's block at a time.  A ``pipeline`` run on
 ``perfbench.inputs.emission`` (seed 1, 10 members, 1,000 low-resource
-lines; Python 3.11, 2 CPUs) peaks at a ``VmHWM`` of 62.3 MiB at 3,100
-lines (2,000 types, 1,000 entities) and 347 MiB at 31,000 (12,000
+lines; Python 3.11, 2 CPUs) peaks at a ``VmHWM`` of 60.6 MiB at 3,100
+lines (2,000 types, 1,000 entities) and 342-343 MiB at 31,000 (12,000
 types, 2,939 entities), against 52.0 and 298 MiB when each split
 rendered its own lines and held them only while it was written.  With
 ``--workers 2`` the languages are tagged on two processes, and the
-parent peaks at 66 and 383 MiB.
+parent peaks at 64-65 and 378-392 MiB.
 """
 from __future__ import annotations
 
@@ -63,8 +65,6 @@ SRC_TAG_PREFIX = "__opt_src_"
 TGT_TAG_PREFIX = "__opt_tgt_"
 
 View = Mapping[str, ParallelText]
-# language -> line id -> mentions; covers every language and line emitted
-Mentions = Mapping[str, Mapping[str, Sequence[Mention]]]
 # one language's lines over a split's ids: each line joined as its own source
 # side, and each line's entity ids in first-mention order
 RenderedLines = tuple[list[str], list[tuple[str, ...]]]
@@ -73,15 +73,16 @@ RenderedLines = tuple[list[str], list[tuple[str, ...]]]
 class TaggedText(NamedTuple):
     """One language's text, searched, rendered and counted once (``tag_text``).
 
-    ``mentions`` maps every line id to the line's mentions, the one empty
-    tuple ``()`` for a line without.  ``joined`` maps every line id to
-    the line as its own source side, joined.  ``entities`` maps each line
-    that holds a mention to its entity ids in first-mention order, which
-    number its placeholders.  ``counts`` counts the tokens of every
-    source side.
+    ``text`` is the loaded text it was made from.  ``joined`` maps every
+    line id to the line as its own source side, joined.  ``mentions``
+    maps each line that holds a mention to its mentions, and
+    ``entities`` maps the same lines to their entity ids in first-mention
+    order, which number its placeholders; a line without a mention is in
+    neither.  ``counts`` counts the tokens of every source side.  It is
+    all that emission, the vocabulary and ``tag`` read of a language.
     """
 
-    language: str
+    text: ParallelText
     mentions: dict[str, Sequence[Mention]]
     joined: dict[str, str]
     entities: dict[str, tuple[str, ...]]
@@ -118,31 +119,31 @@ def tag_text(
     """Search, render and count one language's text: the run's one pass over its lines.
 
     Each line's mentions come from ``find_mentions``; without a table no
-    line has one.  A line with mentions binds them (``bind``) and renders
-    its template; a line without is its own tokens.  That template is the
-    line's source side in every stage file, ``tag`` writes it, and the
-    shared vocabulary counts its tokens.
+    line is searched.  A line with mentions binds them (``bind``) and
+    renders its template; a line without is its own tokens.  That
+    template is the line's source side in every stage file, ``tag``
+    writes it, and the shared vocabulary counts its tokens.
     """
-    language, lines = text.language, text.lines
-    if table is None:
-        found = dict.fromkeys(lines, ())
-    else:
-        found = {
-            lid: find_mentions(tokens, language, table, edit_threshold) or ()
-            for lid, tokens in lines.items()
-        }
+    language = text.language
+    mentions: dict[str, Sequence[Mention]] = {}
     joined: dict[str, str] = {}
     entities: dict[str, tuple[str, ...]] = {}
     templates = []
-    for lid, tokens in lines.items():
-        line_mentions = found[lid]
-        if line_mentions:
-            binding = bind(line_mentions)
-            tokens = render_template(tokens, line_mentions, binding)
+    for lid, tokens in text.lines.items():
+        found = table is not None and find_mentions(tokens, language, table, edit_threshold)
+        if found:
+            binding = bind(found)
+            tokens = render_template(tokens, found, binding)
+            mentions[lid] = found
             entities[lid] = tuple(binding)
         joined[lid] = " ".join(tokens)
         templates.append(tokens)
-    return TaggedText(language, found, joined, entities, Counter(chain.from_iterable(templates)))
+    return TaggedText(text, mentions, joined, entities, Counter(chain.from_iterable(templates)))
+
+
+def _tag_job(text: ParallelText, table: LexiconTable | None, edit_threshold: int) -> tuple:
+    """``tag_text``'s fields but the text: what one job of ``tag_languages`` returns."""
+    return tag_text(text, table, edit_threshold)[1:]
 
 
 def tag_languages(
@@ -154,11 +155,12 @@ def tag_languages(
     (``LexiconTable.for_language``), so the searches are independent.
     With ``workers`` above one they run on a pool of at most that many
     processes, and never more than languages or CPUs; each job pickles
-    one text and its forms, and its result comes back pickled.  The
-    workers are spawned, not forked, so a script calling this with
-    ``workers`` above one keeps its own work under ``if __name__ ==
-    "__main__"``.  Otherwise the languages run one after another in this
-    process.  Either way the results are the same.
+    one text and its forms, and its result comes back pickled without
+    the text.  The workers are spawned, not forked, so a script calling
+    this with ``workers`` above one keeps its own work under ``if
+    __name__ == "__main__"``.  Otherwise the languages run one after
+    another in this process.  Either way each ``TaggedText`` holds the
+    very text object of ``texts``, and the results are the same.
     """
     tables = (table.for_language(lang) if table is not None else None for lang in texts)
     jobs = (texts.values(), tables, repeat(edit_threshold))
@@ -169,33 +171,32 @@ def tag_languages(
         from multiprocessing import get_context
 
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            tagged = list(pool.map(tag_text, *jobs))
+            fields = list(pool.map(_tag_job, *jobs))
     else:
-        tagged = list(map(tag_text, *jobs))
-    return {result.language: result for result in tagged}
+        fields = list(map(_tag_job, *jobs))
+    return {text.language: TaggedText(text, *rest) for text, rest in zip(texts.values(), fields)}
 
 
 def pair_templates(
     sources: Sequence[tuple[str, ...]],
-    target: ParallelText,
+    target: TaggedText,
     rendered: RenderedLines,
-    found: Mapping[str, Sequence[Mention]],
     ids: Sequence[str],
 ) -> list[str]:
     """One pair's target sides, line by line.
 
     ``sources`` holds each source line's entity ids in first-mention
-    order; ``rendered`` is the target's own ``RenderedLines`` over the
-    same ``ids``, and ``found`` its mentions by line id.  A target line
-    is bound by its source line, so reordered mentions keep their
-    indices and target-only entities stay as surfaces.  Where the
-    target's entity ids are a prefix of the source's, the source binds
-    every target entity to the placeholder the target's own binding
-    gives it, and the target's joined line is reused; any other line is
-    rendered once under the source's binding.
+    order; ``rendered`` is the ``target``'s own ``RenderedLines`` over
+    the same ``ids``.  A target line is bound by its source line, so
+    reordered mentions keep their indices and target-only entities stay
+    as surfaces.  Where the target's entity ids are a prefix of the
+    source's, the source binds every target entity to the placeholder
+    the target's own binding gives it, and the target's joined line is
+    reused; any other line is rendered once, from the target's tokens
+    and mentions, under the source's binding.
     """
     joined, entities = rendered
-    lines = target.lines
+    lines, found = target.text.lines, target.mentions
     out = list(joined)
     # only a line whose target holds mentions can differ from its own rendering
     for index in compress(range(len(out)), entities):
@@ -215,13 +216,12 @@ def _split_lines(tagged: TaggedText, ids: Sequence[str]) -> RenderedLines:
 
 def _write_split(
     pairs: Sequence[tuple[str, str]],
-    texts: View,
     ids: Sequence[str],
     out_dir: str | Path,
     split_name: str,
     tagged: Tagged,
 ) -> dict:
-    """Write ``pairs`` over the lines ``ids`` of ``texts``, in the order of ``ids``."""
+    """Write ``pairs`` over the lines ``ids`` of the ``tagged`` texts, in the order of ``ids``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     src_name, tgt_name = f"{split_name}.src", f"{split_name}.tgt"
@@ -237,7 +237,7 @@ def _write_split(
         for a, b in pairs:
             joined, entities = rendered[a]
             tag = direction_tag(a, b)
-            targets = pair_templates(entities, texts[b], rendered[b], tagged[b].mentions, ids)
+            targets = pair_templates(entities, tagged[b], rendered[b], ids)
             if ids:
                 src_file.write(f"{tag} " + f"\n{tag} ".join(joined) + "\n")
                 tgt_file.write("\n".join(targets) + "\n")
@@ -252,7 +252,6 @@ def _write_split(
 
 def emit_complete(
     languages: Sequence[str],
-    texts: View,
     ids: Sequence[str],
     out_dir: str | Path,
     split_name: str = "train",
@@ -262,19 +261,18 @@ def emit_complete(
     """Write every ordered language pair over ``ids``: k(k-1)*n examples.
 
     Each language's lines are read from its ``tagged`` entry by id, in
-    the order of ``ids``, and from ``texts`` where a target line is
-    rendered again; every language must hold every id.  Returns the
-    split's manifest entry: ``examples``, ``src``, ``tgt`` and the two
-    files' sha256s, taken from the bytes as written.
+    the order of ``ids``, and a target line rendered again is rendered
+    from that entry's text and mentions; every language must hold every
+    id.  Returns the split's manifest entry: ``examples``, ``src``,
+    ``tgt`` and the two files' sha256s, taken from the bytes as written.
     """
     pairs = [(a, b) for a in languages for b in languages if a != b]
-    return _write_split(pairs, texts, ids, out_dir, split_name, tagged)
+    return _write_split(pairs, ids, out_dir, split_name, tagged)
 
 
 def emit_star(
     sources: Sequence[str],
     target: str,
-    texts: View,
     ids: Sequence[str],
     out_dir: str | Path,
     split_name: str = "train",
@@ -287,7 +285,7 @@ def emit_star(
     manifest entry, as ``emit_complete`` does.
     """
     pairs = [(a, target) for a in sources]
-    return _write_split(pairs, texts, ids, out_dir, split_name, tagged)
+    return _write_split(pairs, ids, out_dir, split_name, tagged)
 
 
 def symmetrize(low: ParallelText, sources: Sequence[ParallelText]) -> dict[str, ParallelText]:
@@ -325,20 +323,21 @@ def write_vocab(vocab: Sequence[str], path: str | Path) -> str:
     return write_lines(path, vocab)
 
 
-def unbound_surfaces(languages: Sequence[str], mentions: Mentions) -> set[str]:
+def unbound_surfaces(languages: Sequence[str], tagged: Tagged) -> set[str]:
     """Entity surface tokens that a complete graph over ``languages`` writes as is.
 
     A target side reuses its source side's placeholder binding, so on a
     line every language shares, a mention whose entity some other
     language's line lacks stays a surface in that pair's target.
+    ``tagged`` holds each language's ``TaggedText``.
     """
-    by_language = [mentions[lang] for lang in languages]
+    texts = [tagged[lang] for lang in languages]
     surfaces: set[str] = set()
     # only a line with a mention in some language can leave a surface
-    for lid in {lid for found in by_language for lid, line in found.items() if line}:
-        if not all(lid in found for found in by_language):
+    for lid in {lid for text in texts for lid in text.mentions}:
+        if not all(lid in text.joined for text in texts):
             continue
-        lines = [found[lid] for found in by_language]
+        lines = [text.mentions.get(lid, ()) for text in texts]
         common = set.intersection(*({m.entity_id for m in line} for line in lines))
         for line in lines:
             for mention in line:
@@ -376,7 +375,6 @@ def emit_stage(
     stage: int,
     family: Sequence[str],
     low_resource: str,
-    corpora: Mapping[str, ParallelText],
     splits: Mapping[str, Sequence[str]],
     out_dir: str | Path,
     *,
@@ -386,9 +384,9 @@ def emit_stage(
 
     ``splits`` is the stage's plan from ``stage_splits``: each split's
     name and line ids.  Every split is written straight from the
-    ``tagged`` texts and the loaded ``corpora`` by its ids; the plan was
-    checked when it was made, so nothing is checked again.  One
-    ``tagged`` map over the full texts serves every stage.  The fragment
+    ``tagged`` texts by its ids; the plan was checked when it was made,
+    so nothing is checked again.  One ``tagged`` map over the full texts
+    serves every stage.  The fragment
     records the configuration, languages, per-split line and example
     counts and each file's checksum; it holds nothing volatile, so
     repeated runs produce identical manifests.
@@ -398,9 +396,9 @@ def emit_stage(
     entries: dict[str, dict] = {}
     for name, ids in splits.items():
         if configuration == "star":
-            entry = emit_star(family, low_resource, corpora, ids, out_dir, name, tagged=tagged)
+            entry = emit_star(family, low_resource, ids, out_dir, name, tagged=tagged)
         else:
-            entry = emit_complete(emit_languages, corpora, ids, out_dir, name, tagged=tagged)
+            entry = emit_complete(emit_languages, ids, out_dir, name, tagged=tagged)
         entries[name] = {**entry, "lines": len(ids)}
     return {
         "stage": stage,

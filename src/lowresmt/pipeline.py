@@ -229,19 +229,19 @@ def build_shared_vocab(
 ) -> tuple[str, ...]:
     """One vocabulary for all stages, holding every token any stage writes.
 
-    Takes the family's and the target's ``TaggedText``s; returns
-    ``build_vocab``'s token tuple.  Counts are the sum of their token
-    ``Counter``s: each line rendered once as its own source side, the
-    writer's own source side, which holds every placeholder the line's
-    pairs write.  Nothing is rendered again here.  Reserved at count zero
-    are the direction tags, ``max_ne`` placeholders and the surfaces left
-    on target sides over stage 1 (the family) and stage 2 (family plus
-    target, whose pairs include stage 3's).
+    Takes the family's and the target's ``TaggedText``s and reads no
+    other text; returns ``build_vocab``'s token tuple.  Counts are the
+    sum of their token ``Counter``s: each line rendered once as its own
+    source side, the writer's own source side, which holds every
+    placeholder the line's pairs write.  Nothing is rendered again here.
+    Reserved at count zero are the direction tags, ``max_ne``
+    placeholders and the surfaces left on target sides over stage 1 (the
+    family) and stage 2 (family plus target, whose pairs include stage
+    3's).
     """
     languages = [*family.members, config.target]
     tags = [direction_tag(a, b) for a in languages for b in languages if a != b]
-    mentions = {lang: tagged[lang].mentions for lang in languages}
-    unbound = unbound_surfaces(family.members, mentions) | unbound_surfaces(languages, mentions)
+    unbound = unbound_surfaces(family.members, tagged) | unbound_surfaces(languages, tagged)
     tag_tokens = [token for tag in tags for token in tag.split()]
     placeholders = [placeholder(index) for index in range(config.max_ne)]
     counts = (tagged[lang].counts for lang in languages)
@@ -266,9 +266,9 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
     loses lines, and how many.  Then each language of the family and the
     target is searched, rendered and counted once (``tag_languages``, on
     ``config.workers`` processes).  Each stage is written from those
-    results and the loaded corpora by its planned ids, which the writer
-    trusts.  Only the target's, the candidates' and the family's corpora
-    are loaded.
+    results alone, each holding its loaded text, by its planned ids,
+    which the writer trusts.  Only the target's, the candidates' and the
+    family's corpora are loaded.
 
     Returns the manifest written to out_dir/manifest.json.  The manifest
     carries no timestamps or absolute paths, so reruns are comparable
@@ -347,7 +347,7 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
         log.info("emitting stage %d", stage)
         out_dir = config.out_dir / f"stage{stage}"
         manifest["stages"][f"stage{stage}"] = emit_stage(
-            stage, family.members, config.target, corpora, splits, out_dir, tagged=tagged
+            stage, family.members, config.target, splits, out_dir, tagged=tagged
         )
     write_lines(
         config.out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)]

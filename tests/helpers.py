@@ -76,7 +76,7 @@ def tag_line(tokens, language, table, edit_threshold=2):
     """
     tagged = tag_text(ParallelText(language, {"0": tuple(tokens)}), table, edit_threshold)
     surfaces = {}
-    for mention in tagged.mentions["0"]:
+    for mention in tagged.mentions.get("0", ()):
         surfaces.setdefault(mention.entity_id, mention.surface)
     entities = tagged.entities.get("0", ())
     return (
@@ -92,8 +92,14 @@ def tag_view(view, table=None, edit_threshold=2):
 
 
 def view_mentions(tagged):
-    """Language -> line id -> mentions, from ``tag_view``'s result, as the oracles read them."""
-    return {language: text.mentions for language, text in tagged.items()}
+    """Language -> line id -> mentions, from ``tag_view``'s result, as the oracles read them.
+
+    Every line is keyed, a line without a mention to ``()``.
+    """
+    return {
+        language: {lid: text.mentions.get(lid, ()) for lid in text.joined}
+        for language, text in tagged.items()
+    }
 
 
 def oracle_levenshtein(a, b):

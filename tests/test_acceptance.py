@@ -163,15 +163,15 @@ def test_dataset_counts():
 
             with tempfile.TemporaryDirectory() as tmp:
                 complete_first = emit_complete(
-                    languages, view, ids, Path(tmp) / "a", "train", tagged=tagged
+                    languages, ids, Path(tmp) / "a", "train", tagged=tagged
                 )["examples"]
-                emit_complete(languages, view, ids, Path(tmp) / "b", "train", tagged=tagged)
+                emit_complete(languages, ids, Path(tmp) / "b", "train", tagged=tagged)
                 star_first = emit_star(
-                    languages[:-1], languages[-1], view, ids, Path(tmp) / "c", "train",
+                    languages[:-1], languages[-1], ids, Path(tmp) / "c", "train",
                     tagged=tagged,
                 )["examples"]
                 emit_star(
-                    languages[:-1], languages[-1], view, ids, Path(tmp) / "d", "train",
+                    languages[:-1], languages[-1], ids, Path(tmp) / "d", "train",
                     tagged=tagged,
                 )
                 identical = file_sha256(Path(tmp) / "a" / "train.src") == file_sha256(

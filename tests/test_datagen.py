@@ -1,3 +1,4 @@
+import pickle
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -51,7 +52,7 @@ class TestEmitComplete:
     def test_count_formula(self, tmp_path):
         languages, view = make_view(3, 10)
         tagged = tag_view(view)
-        entry = emit_complete(languages, view, ids_of(view), tmp_path, "train", tagged=tagged)
+        entry = emit_complete(languages, ids_of(view), tmp_path, "train", tagged=tagged)
         assert entry["examples"] == 3 * 2 * 10
         assert len((tmp_path / "train.src").read_text().splitlines()) == 60
         assert len((tmp_path / "train.tgt").read_text().splitlines()) == 60
@@ -66,7 +67,7 @@ class TestEmitComplete:
     def test_two_languages_gives_both_directions(self, tmp_path):
         languages, view = make_view(2, 1)
         tagged = tag_view(view)
-        emit_complete(languages, view, ids_of(view), tmp_path, "train", tagged=tagged)
+        emit_complete(languages, ids_of(view), tmp_path, "train", tagged=tagged)
         src = (tmp_path / "train.src").read_text().splitlines()
         assert src[0].startswith("__opt_src_l0 __opt_tgt_l1 ")
         assert src[1].startswith("__opt_src_l1 __opt_tgt_l0 ")
@@ -75,14 +76,14 @@ class TestEmitComplete:
         languages, view = make_view(11, 3)
         tagged = tag_view(view)
         count = emit_complete(
-            languages, view, ids_of(view), tmp_path, "train", tagged=tagged
+            languages, ids_of(view), tmp_path, "train", tagged=tagged
         )["examples"]
         assert count == 11 * 10 * 3
 
     def test_every_source_line_carries_a_wellformed_tag(self, tmp_path):
         languages, view = make_view(3, 4)
         tagged = tag_view(view)
-        emit_complete(languages, view, ids_of(view), tmp_path, "train", tagged=tagged)
+        emit_complete(languages, ids_of(view), tmp_path, "train", tagged=tagged)
         for row in (tmp_path / "train.src").read_text().splitlines():
             first, second, *_ = row.split(" ")
             assert first.startswith("__opt_src_")
@@ -93,8 +94,8 @@ class TestEmitComplete:
     def test_byte_identical_across_runs(self, tmp_path):
         languages, view = make_view(3, 25)
         tagged = tag_view(view)
-        emit_complete(languages, view, ids_of(view), tmp_path / "a", "train", tagged=tagged)
-        emit_complete(languages, view, ids_of(view), tmp_path / "b", "train", tagged=tagged)
+        emit_complete(languages, ids_of(view), tmp_path / "a", "train", tagged=tagged)
+        emit_complete(languages, ids_of(view), tmp_path / "b", "train", tagged=tagged)
         for name in ("train.src", "train.tgt"):
             assert file_sha256(tmp_path / "a" / name) == file_sha256(tmp_path / "b" / name)
 
@@ -104,7 +105,7 @@ class TestEmitStar:
         languages, view = make_view(11, 1038)
         tagged = tag_view(view)
         count = emit_star(
-            languages[:10], languages[10], view, ids_of(view), tmp_path, "train", tagged=tagged
+            languages[:10], languages[10], ids_of(view), tmp_path, "train", tagged=tagged
         )["examples"]
         assert count == 10 * 1038
 
@@ -112,7 +113,7 @@ class TestEmitStar:
         languages, view = make_view(2, 3)
         tagged = tag_view(view)
         count = emit_star(
-            ["l0"], "l1", view, ids_of(view), tmp_path, "train", tagged=tagged
+            ["l0"], "l1", ids_of(view), tmp_path, "train", tagged=tagged
         )["examples"]
         assert count == 3
         src = (tmp_path / "train.src").read_text().splitlines()
@@ -146,10 +147,8 @@ class TestSymmetrize:
 def emit_either(configuration, languages, texts, ids, out_dir):
     tagged = tag_view(texts)
     if configuration == "complete":
-        return emit_complete(languages, texts, ids, out_dir, "train", tagged=tagged)
-    return emit_star(
-        languages[:-1], languages[-1], texts, ids, out_dir, "train", tagged=tagged
-    )
+        return emit_complete(languages, ids, out_dir, "train", tagged=tagged)
+    return emit_star(languages[:-1], languages[-1], ids, out_dir, "train", tagged=tagged)
 
 
 @pytest.mark.parametrize("configuration", ["complete", "star"])
@@ -209,7 +208,7 @@ class TestEmitStage:
         split = SplitSpec((("train", 0.8), ("val", 0.2)))
         splits = stage_splits(stage, languages, "low", corpora, split)
         out_dir = tmp_path / f"stage{stage}"
-        return emit_stage(stage, languages, "low", corpora, splits, out_dir, tagged=tagged)
+        return emit_stage(stage, languages, "low", splits, out_dir, tagged=tagged)
 
     def test_stage1_complete_over_family_excludes_low(self, tmp_path):
         languages, corpora = self.corpora()
@@ -268,24 +267,33 @@ class TestEmitStage:
         }
         splits = stage_splits(2, languages, "low", corpora, SplitSpec((("train", 1.0),)))
         tagged = tag_view(corpora, table)
-        emit_stage(2, languages, "low", corpora, splits, tmp_path, tagged=tagged)
+        emit_stage(2, languages, "low", splits, tmp_path, tagged=tagged)
         src = (tmp_path / "train.src").read_text().splitlines()
         tgt = (tmp_path / "train.tgt").read_text().splitlines()
         assert src[0] == "__opt_src_f0 __opt_tgt_f1 __NE0 speaks"
         assert tgt[0] == "spricht __NE0"
 
 
-def test_a_line_without_mentions_maps_to_the_empty_tuple_with_or_without_a_table():
+def test_a_line_without_mentions_is_joined_but_in_no_mention_map_with_or_without_a_table():
     table = LexiconTable({"e1": {"f0": ["Zorblat"], "f1": ["Zorblatu"]}})
     view = {
         "f0": ParallelText("f0", {"a": ("Zorblat", "speaks"), "b": ("nobody", "here")}),
         "f1": ParallelText("f1", {"a": ("no", "one"), "b": ("Zorblatu",)}),
     }
-    tagged = view_mentions(tag_view(view, table))
-    for found in (tagged, view_mentions(tag_view(view))):
-        empty = [line for by_line in found.values() for line in by_line.values() if not line]
-        assert empty and all(line == () for line in empty)
-    (mention,) = tagged["f0"]["a"]
+    tagged = tag_view(view, table)
+    # with the table f0's "b" and f1's "a" hold no mention; without it no line does
+    for texts, without in (
+        (tagged, {"f0": ["b"], "f1": ["a"]}),
+        (tag_view(view), {"f0": ["a", "b"], "f1": ["a", "b"]}),
+    ):
+        for lang, lids in without.items():
+            text = texts[lang]
+            assert list(text.mentions) == list(text.entities) == [
+                lid for lid in text.joined if lid not in lids
+            ]
+            for lid in lids:
+                assert text.joined[lid] == " ".join(view[lang].lines[lid])
+    (mention,) = tagged["f0"].mentions["a"]
     assert not hasattr(mention, "__dict__")
 
 
@@ -342,11 +350,9 @@ def test_block_writer_matches_the_per_example_oracle(configuration, case, tagged
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         if configuration == "complete":
-            entry = emit_complete(languages, texts, ids, out, "train", tagged=tagged_view)
+            entry = emit_complete(languages, ids, out, "train", tagged=tagged_view)
         else:
-            entry = emit_star(
-                languages[:-1], languages[-1], texts, ids, out, "train", tagged=tagged_view
-            )
+            entry = emit_star(languages[:-1], languages[-1], ids, out, "train", tagged=tagged_view)
         written = ((out / "train.src").read_bytes(), (out / "train.tgt").read_bytes())
     view = {lang: restrict(text, ids) for lang, text in texts.items()}
     assert written == oracle_split_bytes(pairs, view, view_mentions(tagged_view))
@@ -369,7 +375,7 @@ def test_each_language_line_is_bound_once_per_split(monkeypatch, tmp_path):
         for lang in languages
     }
     tagged = tag_view(view, table)
-    entry = emit_complete(languages, view, ids_of(view), tmp_path, "train", tagged=tagged)
+    entry = emit_complete(languages, ids_of(view), tmp_path, "train", tagged=tagged)
     assert entry["examples"] == 3 * 2 * 4
     assert len(calls) == 3 * 4
 
@@ -397,8 +403,7 @@ def test_pair_templates_renders_only_lines_the_source_binds_otherwise(
         return render_template(*args)
 
     monkeypatch.setattr(lowresmt.datagen, "render_template", counting)
-    found = tagged["l1"].mentions
-    assert pair_templates(source_entities, view["l1"], rendered, found, ["v0"]) == [expected]
+    assert pair_templates(source_entities, tagged["l1"], rendered, ["v0"]) == [expected]
     assert len(calls) == renders
 
 
@@ -426,10 +431,10 @@ def test_a_split_renders_each_language_once(monkeypatch, tmp_path, configuration
     rendered = sum(len(text.entities) for text in tagged.values())
     assert rendered and len(renders) == rendered
     if configuration == "complete":
-        emit_complete(languages, view, ids_of(view), tmp_path, "train", tagged=tagged)
+        emit_complete(languages, ids_of(view), tmp_path, "train", tagged=tagged)
     else:
         emit_star(
-            languages[:-1], languages[-1], view, ids_of(view), tmp_path, "train", tagged=tagged
+            languages[:-1], languages[-1], ids_of(view), tmp_path, "train", tagged=tagged
         )
     assert calls == Counter(languages)
     # every line's entities are bound alike, so the writer renders none again
@@ -439,13 +444,13 @@ def test_a_split_renders_each_language_once(monkeypatch, tmp_path, configuration
 def test_an_empty_split_writes_empty_files(tmp_path):
     view = {lang: ParallelText(lang, {}) for lang in ("l0", "l1")}
     tagged = tag_view(view)
-    entry = emit_complete(["l0", "l1"], view, [], tmp_path, "train", tagged=tagged)
+    entry = emit_complete(["l0", "l1"], [], tmp_path, "train", tagged=tagged)
     assert entry["examples"] == 0
     assert (tmp_path / "train.src").read_bytes() == (tmp_path / "train.tgt").read_bytes() == b""
 
 
 def test_tagging_pool_is_capped_by_languages_and_cpus_and_gets_one_language_each(monkeypatch):
-    sizes, languages_per_job = [], []
+    sizes, languages_per_job, job_results = [], [], []
 
     class SerialPool:
         def __init__(self, max_workers, mp_context):
@@ -463,7 +468,9 @@ def test_tagging_pool_is_capped_by_languages_and_cpus_and_gets_one_language_each
                 {lang for by_lang in table.entities.values() for lang in by_lang}
                 for table in tables
             )
-            return map(fn, texts, tables, thresholds)
+            results = list(map(fn, texts, tables, thresholds))
+            job_results.extend(results)
+            return iter(results)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("lowresmt.datagen.os.cpu_count", lambda: 3)
@@ -471,9 +478,15 @@ def test_tagging_pool_is_capped_by_languages_and_cpus_and_gets_one_language_each
     table = LexiconTable({"e": {lang: [f"{lang}w1b"] for lang in languages}})
     serial = tag_languages(view, table)
     assert sizes == []
-    assert tag_languages(view, table, workers=1000) == serial
+    pooled = tag_languages(view, table, workers=1000)
+    assert pooled == serial
     assert sizes == [3]
     assert languages_per_job == [{lang} for lang in languages]
+    # a job sends no text back: each result is rebuilt around the caller's own text
+    assert len(job_results) == len(languages)
+    assert not any(b"ParallelText" in pickle.dumps(result) for result in job_results)
+    for tagged in (serial, pooled):
+        assert all(tagged[lang].text is view[lang] for lang in languages)
     tag_languages({lang: view[lang] for lang in languages[:2]}, table, workers=1000)
     assert sizes == [3, 2]
     monkeypatch.setattr("lowresmt.datagen.os.cpu_count", lambda: None)

@@ -43,9 +43,7 @@ def pair_sides(table, src, src_language, tgt, tgt_language):
     tagged = tag_view(view, table)
     [src_line], src_entities = _split_lines(tagged[src_language], ["0"])
     rendered = _split_lines(tagged[tgt_language], ["0"])
-    [tgt_line] = pair_templates(
-        src_entities, target, rendered, tagged[tgt_language].mentions, ["0"]
-    )
+    [tgt_line] = pair_templates(src_entities, tagged[tgt_language], rendered, ["0"])
     return src_line, tgt_line
 
 

@@ -4,6 +4,7 @@ import shutil
 import tempfile
 import weakref
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -27,6 +28,10 @@ NO_LEXICON_GOLDEN = FIXTURE_DIR.parent / "e2e_no_lexicon_manifest.json"
 # ``lowresmt pipeline --stage all`` on the fixture with the family aaa-ddd and
 # ``"split_mode": "shuffled"``
 SHUFFLED_GOLDEN = FIXTURE_DIR.parent / "e2e_shuffled_manifest.json"
+# ``lowresmt pipeline --stage all`` on the fixture with the family aaa-ddd and
+# ``e2e_lexicon_variants.tsv``, whose forms are all in lrx
+VARIANTS_LEXICON = FIXTURE_DIR.parent / "e2e_lexicon_variants.tsv"
+VARIANTS_GOLDEN = FIXTURE_DIR.parent / "e2e_variants_manifest.json"
 FAMILY = ("fa", "fb", "fc")
 TARGET = "low"
 
@@ -165,6 +170,24 @@ def test_each_language_is_searched_and_rendered_once_per_run(monkeypatch, tmp_pa
     config = PipelineConfig.from_file(FIXTURE_DIR / "config.json", out_dir=tmp_path)
     manifest = run_pipeline(config)
     assert calls == Counter([*manifest["family"], config.target])
+
+
+def test_emission_is_given_the_tagged_texts_and_no_loaded_text(monkeypatch, tmp_path):
+    arguments = []
+    emit_stage = lowresmt.pipeline.emit_stage
+
+    def recording(*args, **kwargs):
+        arguments.extend([*args, *kwargs.values()])
+        return emit_stage(*args, **kwargs)
+
+    monkeypatch.setattr(lowresmt.pipeline, "emit_stage", recording)
+    config = PipelineConfig.from_file(FIXTURE_DIR / "config.json", out_dir=tmp_path)
+    assert len(run_pipeline(config)["stages"]) == 3
+    assert arguments
+    for argument in arguments:
+        assert not isinstance(argument, ParallelText)
+        if isinstance(argument, Mapping):
+            assert not any(isinstance(value, ParallelText) for value in argument.values())
 
 
 def test_two_workers_write_what_one_writes(monkeypatch, tmp_path):
@@ -329,6 +352,20 @@ def test_a_shuffled_run_writes_the_golden_manifest(tmp_path):
     assert run_cli("pipeline", corpus_dir, tmp_path / "out", "--stage", "all") == 0
     assert (tmp_path / "out" / "manifest.json").read_bytes() == SHUFFLED_GOLDEN.read_bytes()
     assert main(["verify", str(tmp_path / "out")]) == 0
+
+
+def test_a_run_whose_forms_are_all_in_the_target_writes_the_golden_manifest(tmp_path, caplog):
+    # every stage-2/3 target side with a mention is rendered again from lrx's own
+    # text, under a source binding that lacks the entity, so it keeps its surfaces
+    golden = json.loads(VARIANTS_GOLDEN.read_text(encoding="utf-8"))
+    corpus_dir = fixture_copy(tmp_path, family=golden["family"], lexicon=str(VARIANTS_LEXICON))
+    out_dir = tmp_path / "out"
+    assert run_cli("pipeline", corpus_dir, out_dir) == 0
+    assert caplog.text.count(f"{NO_FORMS} language(s) aaa, bbb, ccc, ddd;") == 1
+    assert (out_dir / "manifest.json").read_bytes() == VARIANTS_GOLDEN.read_bytes()
+    assert main(["verify", str(out_dir)]) == 0
+    assert "__NE" in (out_dir / "stage2" / "train.src").read_text(encoding="utf-8")
+    assert "__NE" not in (out_dir / "stage2" / "train.tgt").read_text(encoding="utf-8")
 
 
 def test_spelling_variant_is_tagged_through_the_fuzzy_fallback(monkeypatch, tmp_path):

@@ -19,8 +19,9 @@ templates the stage files hold.
 
 Emission copies no text: stages are planned on line ids (``intersect``
 and ``split`` return id lists) and the writer reads each split's lines
-from the loaded texts by its planned ids, so ``restrict`` is called only
-where candidates are loaded and by ``symmetrize``'s coverage check.
+by its planned ids from the tagged texts, each of which holds the loaded
+text it was made from, so ``restrict`` is called only where candidates
+are loaded and by ``symmetrize``'s coverage check.
 """
 import ast
 from pathlib import Path
