@@ -152,15 +152,16 @@ def tag_languages(
     """``tag_text`` over every text of ``texts``, keyed and ordered as ``texts``.
 
     Each language goes with the table's forms in that language alone
-    (``LexiconTable.for_language``), so the searches are independent.
-    With ``workers`` above one they run on a pool of at most that many
-    processes, and never more than languages or CPUs; each job pickles
-    one text and its forms, and its result comes back pickled without
-    the text.  The workers are spawned, not forked, so a script calling
-    this with ``workers`` above one keeps its own work under ``if
-    __name__ == "__main__"``.  Otherwise the languages run one after
-    another in this process.  Either way each ``TaggedText`` holds the
-    very text object of ``texts``, and the results are the same.
+    (``LexiconTable.for_language``), so the searches are independent, and
+    that table is the one bound on search memory: it holds one language's
+    forms and indexes, and is freed when its job ends.  With ``workers``
+    above one they run on a pool of at most that many processes, and
+    never more than languages or CPUs, started by the platform's default
+    method as ``rank_languages``' are; each job pickles one text and its
+    forms, and its result comes back pickled without the text.
+    Otherwise the languages run one after another in this process.
+    Either way each ``TaggedText`` holds the very text object of
+    ``texts``, and the results are the same.
     """
     tables = (table.for_language(lang) if table is not None else None for lang in texts)
     jobs = (texts.values(), tables, repeat(edit_threshold))
@@ -168,9 +169,8 @@ def tag_languages(
     if workers > 1:
         # imported here: the pool machinery costs about 2 MiB that a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
 
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             fields = list(pool.map(_tag_job, *jobs))
     else:
         fields = list(map(_tag_job, *jobs))

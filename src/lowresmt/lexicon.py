@@ -14,12 +14,10 @@ neighbourhoods alike, from ``itertools.combinations`` of the positions
 kept: at depth 2 a word of length L gives at most 1 + L + L(L-1)/2
 strings.  A query meets the index in one set intersection, then makes
 one check per hit, instead of one check per form of the language.  One
-pass builds a language's exact and delete indexes, and a table holds one
-(language, threshold)'s at a time, so memory stays at one language's
-however many are searched; a caller that alternates languages rebuilds
-them at each switch, so search one language after another.  Fuzzy
-matches stay memoized for every language searched, and so do the tokens
-known to start no mention, which a scan skips.
+pass builds a (language, threshold)'s exact and delete indexes, which the
+table keeps with that key's fuzzy matches and the tokens known to start
+no mention, which a scan skips; a table of one language's forms
+(``LexiconTable.for_language``) keeps memory at one language's.
 Decoding is deliberately forgiving because model output is untrusted:
 placeholders without a dictionary entry are dropped and counted rather
 than raised on.
@@ -82,12 +80,8 @@ class LexiconTable:
 
     def __init__(self, entities: dict[str, dict[str, list[str]]]):
         self.entities = entities
-        self._index_key: tuple[str, int] | None = None
-        self._index: tuple[dict, dict, dict, set] | None = None
-        # (language, edit threshold) -> token -> fuzzy match, kept for every key searched
-        self._fuzzy_cache: dict[tuple[str, int], dict[str, str | None]] = {}
-        # (language, edit threshold) -> tokens that start no mention, kept likewise
-        self._plain_cache: dict[tuple[str, int], set[str]] = {}
+        # (language, edit threshold) -> its exact index, delete index, fuzzy memo and plain set
+        self._indexes: dict[tuple[str, int], tuple[dict, dict, dict, set]] = {}
 
     def forms(self, entity_id: str, language: str) -> list[str]:
         return self.entities.get(entity_id, {}).get(language, [])
@@ -108,14 +102,11 @@ class LexiconTable:
         single-token form by at most ``edit_threshold`` deletions -> the
         (casefolded form, form, entity id) of the forms that reach it;
         empty at threshold 0, which never queries it.  Plain: the tokens
-        ``find_mentions`` has found to start no mention.  The table holds
-        one (language, threshold)'s indexes at a time, dropping the held
-        ones before it builds others; the memo and the plain set of every
-        key asked for are kept.
+        ``find_mentions`` has found to start no mention.  The four are built
+        on a (language, threshold)'s first call and kept.
         """
-        key = (language, edit_threshold)
-        if self._index_key != key:
-            self._index_key = self._index = None
+        found = self._indexes.get((language, edit_threshold))
+        if found is None:
             exact: dict[str, list[tuple[tuple[str, ...], str]]] = {}
             deletes: dict[str, list[tuple[str, str, str]]] = {}
             for entity_id, by_language in self.entities.items():
@@ -128,14 +119,8 @@ class LexiconTable:
                             deletes.setdefault(variant, []).append(entry)
             for candidates in exact.values():
                 candidates.sort(key=lambda item: (-len(item[0]), item[1], item[0]))
-            self._index = (
-                exact,
-                deletes,
-                self._fuzzy_cache.setdefault(key, {}),
-                self._plain_cache.setdefault(key, set()),
-            )
-            self._index_key = key
-        return self._index
+            found = self._indexes[language, edit_threshold] = (exact, deletes, {}, set())
+        return found
 
 
 def _deletions(word: str, depth: int) -> set[str]:
@@ -217,9 +202,8 @@ def find_mentions(
     and checks each form under the keys it shares.  Each call fetches the
     language's indexes from the table once, for all its tokens; a
     language's first line builds its exact and delete indexes (at most
-    1 + L + L(L-1)/2 keys per form of length L at threshold 2) in place
-    of the ones the table held.  Fuzzy results are memoized per
-    (language, threshold), across switches of language, so each distinct
+    1 + L + L(L-1)/2 keys per form of length L at threshold 2).  Fuzzy
+    results are memoized per (language, threshold), so each distinct
     token is searched once however often it recurs.
 
     A token that is the first token of no form can start a mention only

@@ -294,7 +294,7 @@ def run_pipeline(config: PipelineConfig, stages: tuple[int, ...] = (1, 2, 3)) ->
             path.unlink(missing_ok=True)
 
     # a malformed lexicon fails before ranking; only mention search reads the
-    # table, so no reference to it (or to its match indexes) outlives that call
+    # table, so no reference to it outlives that call
     table = load_lexicon(config.lexicon) if config.lexicon is not None else None
     family = resolve_family(config, target_text, stages)
     write_lines(config.out_dir / "family.txt", family.members)

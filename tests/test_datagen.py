@@ -1,5 +1,11 @@
+import gc
+import os
 import pickle
+import random
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -8,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowresmt.datagen
-from helpers import oracle_split_bytes, tag_view, view_mentions
+from helpers import (
+    entity_sentence,
+    make_entity_table,
+    make_filler_words,
+    oracle_split_bytes,
+    tag_view,
+    view_mentions,
+)
 from lowresmt.corpus import ParallelText, SplitSpec, restrict
 from lowresmt.datagen import (
     _split_lines,
@@ -22,6 +35,7 @@ from lowresmt.datagen import (
     stage_splits,
     symmetrize,
     tag_languages,
+    tag_text,
 )
 from lowresmt.lexicon import LexiconTable, placeholder
 
@@ -453,7 +467,7 @@ def test_tagging_pool_is_capped_by_languages_and_cpus_and_gets_one_language_each
     sizes, languages_per_job, job_results = [], [], []
 
     class SerialPool:
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -492,3 +506,72 @@ def test_tagging_pool_is_capped_by_languages_and_cpus_and_gets_one_language_each
     monkeypatch.setattr("lowresmt.datagen.os.cpu_count", lambda: None)
     tag_languages(view, table, workers=1000)
     assert sizes == [3, 2]
+
+
+def test_tagging_many_languages_holds_one_languages_search_memory():
+    # each language is searched with a table of its forms alone, freed when
+    # its job ends, so the peak stays at one language's whatever the count
+    languages = [f"l{index}" for index in range(6)]
+    rng = random.Random(8)
+    table = make_entity_table(300, languages, rng)
+    filler = make_filler_words(40, rng)
+    texts = {
+        lang: ParallelText(lang, {
+            f"i{j:02d}": tuple(entity_sentence(table, lang, filler, rng)[0]) for j in range(20)
+        })
+        for lang in languages
+    }
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tag_text(texts[languages[0]], table.for_language(languages[0]))
+        one_language = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        tag_languages(texts, table, workers=1)
+        every_language = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert every_language < 1.5 * one_language, (every_language, one_language)
+
+
+POOLS_FROM_STDIN = """
+import multiprocessing
+import os
+
+from lowresmt.corpus import ParallelText
+from lowresmt.datagen import tag_languages
+from lowresmt.lexicon import LexiconTable
+from lowresmt.rank import rank_languages
+
+os.cpu_count = lambda: 2  # both pools start two processes on any host
+texts = {
+    lang: ParallelText(lang, {f"i{j:03d}": (f"w{j}", f"w{j + 1}", lang) for j in range(60)})
+    for lang in ("l0", "l1", "l2")
+}
+table = LexiconTable({"e": {lang: ["w7"] for lang in texts}})
+for call in (
+    lambda: rank_languages(texts["l0"], [texts["l1"], texts["l2"]], "famd", workers=2),
+    lambda: tag_languages(texts, table, workers=2),
+):
+    try:
+        call()
+        print("returned")
+    except Exception as error:
+        print(type(error).__name__)
+print(multiprocessing.get_start_method())
+"""
+
+
+def test_a_script_read_from_stdin_starts_the_ranking_and_the_tagging_pool_alike(tmp_path):
+    # a fresh interpreter reading its script from stdin, as `python3 -` does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-"], input=POOLS_FROM_STDIN, cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    ranked, tagged, start_method = result.stdout.split()
+    assert ranked == tagged, result.stderr
+    if start_method == "fork":
+        assert ranked == "returned", result.stderr

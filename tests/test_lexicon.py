@@ -1,8 +1,6 @@
-import gc
 import itertools
 import random
 import re
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -449,11 +447,14 @@ class TestPlainSet:
     def test_a_warm_table_finds_what_a_fresh_table_and_a_scan_find(self, case):
         entities, lines, searches = case
         warm = LexiconTable(entities)
+        # the pipeline searches each language with a table of its forms alone
+        warm_per_language = {language: warm.for_language(language) for language in ("x", "y")}
         for index, language, threshold in searches:
             tokens = lines[index]
             found = find_mentions(tokens, language, warm, threshold)
             assert found == find_mentions(tokens, language, LexiconTable(entities), threshold)
             assert found == oracle_find_mentions(tokens, language, warm, threshold)
+            assert found == find_mentions(tokens, language, warm_per_language[language], threshold)
 
     def test_a_forms_first_token_never_joins_the_plain_set(self):
         table = LexiconTable({"e1": {"en": ["Andika", "Yohana Mkubwa"]}})
@@ -535,52 +536,13 @@ class TestFuzzyIndex:
         assert fetches == ["en", "en"]
 
     def test_alternating_languages_finds_what_a_scan_finds(self):
-        # each new token in the other language rebuilds that language's index
+        # each language's first search builds its index, and the other's is kept
         table = make_entity_table(20, ["en", "de"], random.Random(4))
         for index, language in enumerate(["en", "de"] * 3):
             tokens = [table.forms(f"e{index:03d}", language)[0][:-1] + "q"]
             found = find_mentions(tokens, language, table, 2)
             assert found
             assert found == oracle_find_mentions(tokens, language, table, 2)
-
-    def test_table_holds_one_delete_index_at_a_time(self):
-        # one fuzzy query per language, languages one after another, as
-        # find_view_mentions searches them: memory stays at one index
-        languages = [f"l{index}" for index in range(6)]
-        table = make_entity_table(300, languages, random.Random(8))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            find_mentions(["Qzqzqzq"], languages[0], table, 2)
-            one_index = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            for language in languages[1:]:
-                find_mentions(["Qzqzqzq"], language, table, 2)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held < 1.5 * one_index, (held, one_index)
-        assert peak < 1.5 * one_index, (peak, one_index)
-
-    def test_table_holds_one_exact_index_at_a_time(self):
-        # one exact query per language, languages one after another, at
-        # threshold 0 so no fuzzy search runs: memory stays at one index
-        languages = [f"l{index}" for index in range(6)]
-        table = make_entity_table(300, languages, random.Random(8))
-        queries = {language: [table.forms("e000", language)[0]] for language in languages}
-        gc.collect()
-        tracemalloc.start()
-        try:
-            assert find_mentions(queries[languages[0]], languages[0], table, 0)
-            one_index = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            for language in languages[1:]:
-                assert find_mentions(queries[language], language, table, 0)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held < 1.5 * one_index, (held, one_index)
-        assert peak < 1.5 * one_index, (peak, one_index)
 
 
 def oracle_deletions(word, depth):
